@@ -77,10 +77,8 @@ from .trainer import (
     SubspaceFit,
     SubspaceFitError,
     fit,
-    fit_local,
     min_rows_threshold,
     mse,
-    objective,
 )
 
 from ._version import __version__
@@ -119,7 +117,6 @@ __all__ = [
     "feature_matrix",
     "feature_row",
     "fit",
-    "fit_local",
     "forward",
     "gen_test",
     "gen_train",
@@ -134,7 +131,6 @@ __all__ = [
     "history_to_csv",
     "loss_and_grads",
     "mse",
-    "objective",
     "pair_activation",
     "random_partition",
     "read_csv",

@@ -12,8 +12,7 @@ Exit codes: 0 on success, 2 for usage or validation errors, 1 for
 runtime failures (unreadable artifacts, singular fits, divergence).
 Every command prints an echo of its resolved configuration so the run
 can be reproduced from the output alone; all randomness flows from
---seed through named substreams. The PAIRNET_THREADS environment
-variable caps fit parallelism (0 = one worker per CPU).
+--seed through named substreams.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ def _cmd_select(args) -> int:
 
 
 def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
-                alphas=TABLE2_ALPHAS, threads=None) -> list[dict]:
+                alphas=TABLE2_ALPHAS) -> list[dict]:
     """The partition-sweep benchmark: one row per partition, train and
     test MSE columns per function. Linear activations throughout."""
     functions = tuple(functions)
@@ -260,7 +259,7 @@ def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
         row = {"partition": "-".join(map(str, counts)), "subspaces": math.prod(counts)}
         for tag in functions:
             part = uniform_partition(train[tag].domain, counts)
-            model, report = fit(train[tag], part, FitConfig(alphas=alphas), threads=threads)
+            model, report = fit(train[tag], part, FitConfig(alphas=alphas))
             row[f"{tag}_train_mse"] = report.train_mse
             row[f"{tag}_test_mse"] = mse(model, test[tag])
         rows.append(row)

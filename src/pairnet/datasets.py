@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,11 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of (x_1..x_n, y) plus the domain box the x's live in."""
+    """Rows of (x_1..x_n, y) plus the domain box the x's live in.
+
+    Every value must be finite; a NaN or infinity is rejected with the
+    index of its row.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -65,6 +70,13 @@ class Dataset:
         if len(self.domain) != self.X.shape[1]:
             raise ValueError(
                 f"domain has {len(self.domain)} intervals for {self.X.shape[1]} columns"
+            )
+        bad = ~(np.isfinite(self.X).all(axis=1) & np.isfinite(self.y))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"row {i} (counting from 0) is not finite: x={self.X[i].tolist()}, "
+                f"y={float(self.y[i])!r}"
             )
 
     @property
@@ -132,7 +144,8 @@ def write_csv(dataset: Dataset, path) -> None:
 def read_csv(path, domain: tuple[Interval, ...] | None = None) -> Dataset:
     """Read a dataset CSV written by write_csv (or compatible).
 
-    The header must be x1,...,xn,y. When no domain is given it is
+    The header must be x1,...,xn,y, and every field a finite number;
+    the error for a bad field names its line. When no domain is given it is
     inferred from the per-column min/max (degenerate columns are padded
     by half a unit each way).
     """
@@ -160,6 +173,8 @@ def read_csv(path, domain: tuple[Interval, ...] | None = None) -> Dataset:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise CsvFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite value in {row!r}")
             xs.append(values[:n])
             ys.append(values[n])
     X = np.asarray(xs, dtype=np.float64).reshape(len(xs), n)

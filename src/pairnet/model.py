@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .activation import ActivationKind, pair_activation
-from .partition import Interval, Partition, locate, locate_many
+from .partition import Interval, Partition, group_by_cell, locate, locate_many
 
 __all__ = [
     "MAX_DIM",
@@ -42,6 +42,12 @@ __all__ = [
 MAX_DIM = 20
 
 _ALPHA_TOL = 1e-12
+
+# Rows per feature block, in the trainer's Gram loop and in predictions:
+# bounds the (rows, 2^(n+1)) feature matrix in memory, and evaluating a
+# cell's rows in the same blocks at fit and at eval keeps the training
+# MSE reproducible bitwise.
+_BLOCK_ROWS = 4096
 
 
 @lru_cache(maxsize=None)
@@ -160,14 +166,21 @@ def feature_matrix(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
 
 
 def local_forward(local: LocalPairNet, x):
-    """Evaluate one cell's network at a point (n,) or batch (N, n)."""
+    """Evaluate one cell's network at a point (n,) or batch (N, n).
+
+    A batch is evaluated in blocks of _BLOCK_ROWS rows.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if local.fallback_mean is not None:
         out = np.full(X.shape[0], local.fallback_mean)
     else:
-        out = feature_matrix(local, X) @ local.params
+        params = local.params
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            out[start:stop] = feature_matrix(local, X[start:stop]) @ params
     return float(out[0]) if single else out
 
 
@@ -231,14 +244,16 @@ def forward(model: PairNetModel, x):
 
     Each point is routed to its cell's local network; points on interior
     breakpoints belong to the upper cell, and points outside the domain
-    use the nearest boundary cell.
+    use the nearest boundary cell. A batch is grouped by cell as route()
+    groups it, so on the training rows this repeats fit's predictions
+    bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return local_forward(model.locals[locate(model.partition, x)], x)
-    flat = locate_many(model.partition, x)
+    groups = group_by_cell(locate_many(model.partition, x), model.partition.size)
     out = np.empty(x.shape[0])
-    for j in np.unique(flat):
-        mask = flat == j
-        out[mask] = local_forward(model.locals[j], x[mask])
+    for local, rows in zip(model.locals, groups):
+        if len(rows):
+            out[rows] = local_forward(local, x[rows])
     return out

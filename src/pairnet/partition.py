@@ -25,6 +25,7 @@ __all__ = [
     "random_partition",
     "locate",
     "locate_many",
+    "group_by_cell",
     "route",
 ]
 
@@ -124,7 +125,7 @@ class Partition:
     def cell(self, flat: int) -> tuple[Interval, ...]:
         """The box of intervals owned by a flat cell index."""
         idx = self.decode(flat)
-        return tuple(self.intervals(d)[i] for d, i in enumerate(idx))
+        return tuple(Interval(e[i], e[i + 1]) for e, i in zip(self.edges, idx))
 
     def counts_label(self) -> str:
         """Textual form of the interval counts, e.g. '6,6,6'."""
@@ -223,8 +224,15 @@ def route(partition: Partition, dataset) -> list[np.ndarray]:
     """
     if dataset.n != partition.ndim:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
-    flat = locate_many(partition, dataset.X)
+    return group_by_cell(locate_many(partition, dataset.X), partition.size)
+
+
+def group_by_cell(flat: np.ndarray, size: int) -> list[np.ndarray]:
+    """Group row indices by flat cell index, in flat-index order.
+
+    The sort is stable, so each of the ``size`` arrays lists its rows in
+    ascending order; equal inputs always give equal groups.
+    """
     order = np.argsort(flat, kind="stable")
-    sizes = np.bincount(flat, minlength=partition.size)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return [order[bounds[j]:bounds[j + 1]] for j in range(partition.size)]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=size))])
+    return [order[bounds[j]:bounds[j + 1]] for j in range(size)]

@@ -6,14 +6,14 @@ matrix G = sum phi phi^T and moment vector r = sum phi y are accumulated
 in one streaming pass over the rows (bounded memory regardless of data
 size) and handed to the Cholesky solver. Cells with fewer than 2^(n+1)
 rows cannot determine the parameters; depending on policy they either
-raise or fall back to a constant predictor at the target mean.
+raise or fall back to a constant predictor at the target mean. Each
+cell's rows are then predicted once, by the same call evaluation uses,
+and every training error in the report is read from those predictions.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -22,8 +22,8 @@ import numpy as np
 from .activation import ActivationKind, LINEAR
 from .datasets import Dataset
 from .linsolve import DenseSystem, solve_spd
-from .model import LocalPairNet, PairNetModel, feature_matrix, forward
-from .partition import Interval, Partition, route
+from .model import _BLOCK_ROWS, LocalPairNet, PairNetModel, feature_matrix, forward, local_forward
+from .partition import Partition, route
 
 __all__ = [
     "FitConfig",
@@ -31,15 +31,10 @@ __all__ = [
     "FitReport",
     "InsufficientDataError",
     "SubspaceFitError",
-    "fit_local",
     "fit",
-    "objective",
     "mse",
     "min_rows_threshold",
-    "resolve_threads",
 ]
-
-_BLOCK_ROWS = 4096
 
 
 class InsufficientDataError(ValueError):
@@ -102,7 +97,11 @@ class SubspaceFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit diagnostics: one record per cell plus global training error."""
+    """Fit diagnostics: one record per cell plus global training error.
+
+    fit_seconds is the wall time of the whole fit() call, from entry to
+    the assembled model: routing, solves, training predictions and all.
+    """
 
     subspaces: tuple[SubspaceFit, ...]
     train_mse: float
@@ -132,12 +131,12 @@ class FitReport:
         atomic_write_text(path, buf.getvalue())
 
 
-def _fit_cell(X, y, subspace, config, index=0):
+def _solve_cell(X, y, subspace, config):
+    """One cell's network and its solve diagnostics (None for a fallback)."""
     n = X.shape[1]
     threshold = min_rows_threshold(n)
-    alphas = np.asarray(config.alphas, dtype=np.float64)
     probe = LocalPairNet(
-        n=n, alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n),
+        n=n, alphas=np.asarray(config.alphas), c=np.zeros(2**n), gamma=np.zeros(2**n),
         subspace=tuple(subspace), activation=config.activation,
     )
     if len(y) < threshold:
@@ -145,10 +144,7 @@ def _fit_cell(X, y, subspace, config, index=0):
             raise InsufficientDataError(
                 f"{len(y)} rows < {threshold} parameters (2^(n+1) with n={n})"
             )
-        mean = float(np.mean(y)) if len(y) else 0.0
-        local = replace(probe, fallback_mean=mean)
-        sse = float(np.sum((y - mean) ** 2)) if len(y) else 0.0
-        return local, SubspaceFit(index, len(y), sse, True, None, 0, None)
+        return replace(probe, fallback_mean=float(np.mean(y)) if len(y) else 0.0), None
 
     d = 2 ** (n + 1)
     G = np.zeros((d, d))
@@ -158,79 +154,49 @@ def _fit_cell(X, y, subspace, config, index=0):
         G += phi.T @ phi
         r += phi.T @ y[start:start + _BLOCK_ROWS]
     p, diag = solve_spd(DenseSystem(G, r), config.ridge)
-    local = replace(probe, c=p[:2**n], gamma=p[2**n:])
-
-    sse = 0.0
-    for start in range(0, len(y), _BLOCK_ROWS):
-        pred = feature_matrix(local, X[start:start + _BLOCK_ROWS]) @ p
-        sse += float(np.sum((y[start:start + _BLOCK_ROWS] - pred) ** 2))
-    return local, SubspaceFit(index, len(y), sse, False, diag.ridge, diag.escalations,
-                              diag.residual)
+    return replace(probe, c=p[:2**n], gamma=p[2**n:]), diag
 
 
-def fit_local(rows, targets, subspace: Sequence[Interval], config: FitConfig) -> LocalPairNet:
-    """Fit one cell's network on rows already routed to that cell."""
-    X = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"rows {X.shape} and targets {y.shape} do not line up")
-    local, _ = _fit_cell(X, y, subspace, config)
-    return local
-
-
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else PAIRNET_THREADS (0 = auto)."""
-    if explicit is None:
-        explicit = int(os.environ.get("PAIRNET_THREADS", "1"))
-    if explicit == 0:
-        return os.cpu_count() or 1
-    if explicit < 0:
-        raise ValueError(f"thread count must be >= 0, got {explicit}")
-    return explicit
-
-
-def fit(dataset: Dataset, partition: Partition, config: FitConfig,
-        threads: int | None = None):
+def fit(dataset: Dataset, partition: Partition, config: FitConfig):
     """Fit one local network per cell; one pass over the data per cell.
 
-    Rows are routed to cells, each cell is fit independently (in
-    parallel when threads allow; results are assembled in flat-index
-    order so the model is identical either way), and the model plus a
-    per-cell report are returned. Wall-clock time covers routing and
-    fitting only.
+    Rows are routed to cells once. Each cell is solved, then its rows
+    are predicted by local_forward, the same call evaluation makes, so
+    the per-cell SSEs and the training MSE come from one prediction
+    array, and forward() on the training data reproduces it bitwise.
+    fit_seconds covers the whole call, from entry to the assembled model.
 
     Returns (PairNetModel, FitReport).
     """
+    t0 = time.perf_counter()
     if len(dataset) == 0:
         raise ValueError("cannot fit an empty dataset")
     if dataset.n != partition.ndim:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
     if len(config.alphas) != dataset.n:
         raise ValueError(f"{len(config.alphas)} alphas for {dataset.n} inputs")
-    workers = resolve_threads(threads)
 
-    t0 = time.perf_counter()
-    groups = route(partition, dataset)
-
-    def one(j):
+    pred = np.empty(len(dataset))
+    locals_, cells = [], []
+    for j, rows in enumerate(route(partition, dataset)):
         box = partition.cell(j) if config.activation_scope == "subspace" else partition.domain
-        idx = groups[j]
+        X, y = dataset.X[rows], dataset.y[rows]
         try:
-            return _fit_cell(dataset.X[idx], dataset.y[idx], box, config, index=j)
+            local, diag = _solve_cell(X, y, box, config)
         except Exception as exc:
             raise SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}") from exc
+        cell_pred = local_forward(local, X)
+        pred[rows] = cell_pred
+        sse = float(np.sum((y - cell_pred) ** 2))
+        if diag is None:
+            cells.append(SubspaceFit(j, len(y), sse, True, None, 0, None))
+        else:
+            cells.append(SubspaceFit(j, len(y), sse, False, diag.ridge, diag.escalations,
+                                     diag.residual))
+        locals_.append(local)
 
-    if workers > 1 and partition.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(partition.size)))
-    else:
-        results = [one(j) for j in range(partition.size)]
-    elapsed = time.perf_counter() - t0
-
-    locals_ = tuple(res[0] for res in results)
-    cells = tuple(res[1] for res in results)
     model = PairNetModel(
-        partition=partition, locals=locals_, activation_scope=config.activation_scope,
+        partition=partition, locals=tuple(locals_), activation_scope=config.activation_scope,
         # Only the recipe goes in: provenance is serialized with the model,
         # and equal-seed runs must produce byte-identical files, so wall
         # clock stays on the report.
@@ -240,24 +206,19 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig,
             "activation_scope": config.activation_scope,
         },
     )
-    # Recompute the training MSE through the same single-pass path that
-    # evaluation uses, so a later eval on the training data reproduces
-    # this number bitwise (the per-cell sse's sum to it only up to
-    # summation-order dust).
-    report = FitReport(subspaces=cells, train_mse=mse(model, dataset), fit_seconds=elapsed)
+    report = FitReport(subspaces=tuple(cells), train_mse=_mean_squared_error(dataset.y, pred),
+                       fit_seconds=time.perf_counter() - t0)
     return model, report
 
 
-def objective(model: PairNetModel, dataset: Dataset) -> float:
-    """Half the sum of squared residuals over the dataset (MSE = 2Q/N)."""
-    if len(dataset) == 0:
-        raise ValueError("objective of an empty dataset is undefined")
-    if dataset.n != model.n:
-        raise ValueError(f"dataset has {dataset.n} dims, model has {model.n}")
-    resid = dataset.y - forward(model, dataset.X)
-    return 0.5 * float(np.sum(resid**2))
+def _mean_squared_error(y: np.ndarray, pred: np.ndarray) -> float:
+    return float(np.sum((y - pred) ** 2)) / len(y)
 
 
 def mse(model: PairNetModel, dataset: Dataset) -> float:
     """Mean squared prediction error over the dataset."""
-    return 2.0 * objective(model, dataset) / len(dataset)
+    if len(dataset) == 0:
+        raise ValueError("MSE of an empty dataset is undefined")
+    if dataset.n != model.n:
+        raise ValueError(f"dataset has {dataset.n} dims, model has {model.n}")
+    return _mean_squared_error(dataset.y, forward(model, dataset.X))

@@ -227,7 +227,7 @@ def test_6_partition_sweep_trend(verdict, tmp_path):
 def test_7_fit_speed(verdict, benchmarks, mlp_f2):
     train, _ = benchmarks["f2"]
     _, report = fit(train, uniform_partition(train.domain, (6, 6, 6)),
-                    FitConfig(alphas=TABLE2_ALPHAS), threads=1)
+                    FitConfig(alphas=TABLE2_ALPHAS))
     _, _, mlp_seconds = mlp_f2
     ratio = mlp_seconds / report.fit_seconds
     ok = report.fit_seconds < 10.0 and ratio >= 10.0

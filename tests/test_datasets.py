@@ -105,6 +105,17 @@ class TestDataset:
         with pytest.raises(ValueError, match="domain"):
             Dataset(np.zeros((3, 2)), np.zeros(3), (Interval(0, 1),))
 
+    def test_nan_target_names_the_row(self):
+        y = np.array([1.0, 2.0, np.nan, np.nan])
+        with pytest.raises(ValueError, match=r"row 2 .*y=nan"):
+            Dataset(np.zeros((4, 1)), y, (Interval(0, 1),))
+
+    def test_infinite_input_names_the_row(self):
+        X = np.zeros((3, 2))
+        X[1, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"row 1 .*-inf"):
+            Dataset(X, np.zeros(3), (Interval(0, 1), Interval(0, 1)))
+
 
 class TestCsvRoundTrip:
     def test_exact_roundtrip(self, tmp_path, rng):
@@ -154,6 +165,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("x1,y\n1,2\nfoo,3\n")
         with pytest.raises(CsvFormatError, match="line 3"):
+            read_csv(path)
+
+    def test_nan_field_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,y\n1,2\n\nnan,3\n")
+        with pytest.raises(CsvFormatError, match="line 4: non-finite"):
             read_csv(path)
 
     def test_empty_file(self, tmp_path):

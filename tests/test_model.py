@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import sample_box
 from pairnet.activation import LINEAR, ActivationKind, pair_activation
 from pairnet.model import (
+    _BLOCK_ROWS,
     MAX_DIM,
     LocalPairNet,
     PairNetModel,
@@ -27,7 +28,7 @@ from pairnet.model import (
     layer2_weights,
     local_forward,
 )
-from pairnet.partition import Interval, uniform_partition
+from pairnet.partition import Interval, locate_many, uniform_partition
 
 
 def naive_forward(local, x):
@@ -224,8 +225,20 @@ class TestPairNetModel:
         assert forward(model, x) == local_forward(model.locals[3], x)
 
     def test_batch_forward_matches_per_point(self, rng):
-        model = self._model(counts=(3, 2), seed=4)
-        X = np.column_stack([rng.uniform(-1, 5, 200), rng.uniform(-2, 2, 200)])
+        """Per-point forward is the reference for the grouped batch path,
+        over empty cells, breakpoints, out-of-domain points and a cell
+        whose rows span more than one evaluation block."""
+        model = self._model(counts=(3, 3), seed=4)
+        part = model.partition
+        crowd = np.column_stack([rng.uniform(0.0, 1.0, _BLOCK_ROWS + 900),
+                                 rng.uniform(-1.0, -0.5, _BLOCK_ROWS + 900)])
+        on_breakpoints = np.array([(a, part.edges[1][1]) for a in part.edges[0]])
+        outside = np.array([[-3.0, -5.0], [9.0, 0.2], [2.0, 7.0], [4.0, 1.0]])
+        spread = np.column_stack([rng.uniform(-1, 5, 200), rng.uniform(-2, -0.5, 200)])
+        X = rng.permutation(np.vstack([crowd, on_breakpoints, outside, spread]))
+        rows_per_cell = np.bincount(locate_many(part, X), minlength=part.size)
+        assert rows_per_cell.max() > _BLOCK_ROWS
+        assert rows_per_cell.min() == 0
         batch = forward(model, X)
         singles = np.array([forward(model, x) for x in X])
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)

@@ -1,26 +1,23 @@
 """Closed-form per-cell fitting: normal equations, policies, reports."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
 from conftest import sample_box
-from pairnet.datasets import Dataset, gen_train
+from pairnet.activation import ActivationKind
+from pairnet.datasets import Dataset
 from pairnet.linsolve import DenseSystem, solve_spd
-from pairnet.model import feature_matrix, feature_row, local_forward, forward
+from pairnet.model import feature_matrix, feature_row, local_forward
 from pairnet.partition import Interval, uniform_partition
 from pairnet.trainer import (
     FitConfig,
     InsufficientDataError,
     SubspaceFitError,
     fit,
-    fit_local,
     min_rows_threshold,
     mse,
-    objective,
-    resolve_threads,
 )
 
 BOX2 = (Interval(0.0, 2.0), Interval(1.0, 3.0))
@@ -56,11 +53,20 @@ class TestFitConfig:
         assert cfg.alphas == (0.25, 0.75)
 
 
+def _fit_one_cell(X, y, box, config, counts=None):
+    """Fit a partition of ``box`` (one cell unless ``counts`` says
+    otherwise) and return the local net of its first cell."""
+    part = uniform_partition(box, counts or (1,) * len(box))
+    model, _ = fit(Dataset(X, y, box), part, config)
+    return model.locals[0]
+
+
 class TestFitLocal:
+    """One cell's solve, through fit on a one-cell partition."""
+
     def test_recovers_generating_network(self, make_local):
         gen_net, X, y = _realizable(make_local, 200, seed=7)
-        fitted = fit_local(X, y, gen_net.subspace,
-                           FitConfig(alphas=gen_net.alphas))
+        fitted = _fit_one_cell(X, y, gen_net.subspace, FitConfig(alphas=gen_net.alphas))
         X_held = sample_box(gen_net.subspace, 200, seed=8)
         rms = np.sqrt(np.mean((local_forward(fitted, X_held)
                                - local_forward(gen_net, X_held)) ** 2))
@@ -70,7 +76,7 @@ class TestFitLocal:
         """The streaming Gram accumulation equals a naive per-row build."""
         gen_net, X, y = _realizable(make_local, 60, seed=9, noise=0.3)
         cfg = FitConfig(alphas=gen_net.alphas)
-        fitted = fit_local(X, y, gen_net.subspace, cfg)
+        fitted = _fit_one_cell(X, y, gen_net.subspace, cfg)
 
         d = 8
         G = np.zeros((d, d))
@@ -87,17 +93,22 @@ class TestFitLocal:
 
     def test_insufficient_rows_policies(self, make_local):
         gen_net, X, y = _realizable(make_local, 7, seed=3)  # threshold is 8
-        with pytest.raises(InsufficientDataError, match="7 rows < 8"):
-            fit_local(X, y, gen_net.subspace,
-                      FitConfig(alphas=gen_net.alphas, min_rows_policy="error"))
-        fitted = fit_local(X, y, gen_net.subspace, FitConfig(alphas=gen_net.alphas))
+        with pytest.raises(SubspaceFitError, match="7 rows < 8") as info:
+            _fit_one_cell(X, y, gen_net.subspace,
+                          FitConfig(alphas=gen_net.alphas, min_rows_policy="error"))
+        assert isinstance(info.value.__cause__, InsufficientDataError)
+        fitted = _fit_one_cell(X, y, gen_net.subspace, FitConfig(alphas=gen_net.alphas))
         assert fitted.fallback_mean == pytest.approx(float(np.mean(y)))
         assert local_forward(fitted, X[0]) == fitted.fallback_mean
 
     def test_empty_cell_falls_back_to_zero(self, make_local):
+        """fit refuses an empty dataset, so the empty cell is the lower
+        half of a box whose rows all lie in the upper half."""
         gen_net = make_local(n=2)
-        fitted = fit_local(np.empty((0, 2)), np.empty(0), gen_net.subspace,
-                           FitConfig(alphas=gen_net.alphas))
+        upper = (Interval(gen_net.subspace[0].mid, gen_net.subspace[0].hi), gen_net.subspace[1])
+        X = sample_box(upper, 20, seed=2)
+        fitted = _fit_one_cell(X, np.ones(20), gen_net.subspace,
+                               FitConfig(alphas=gen_net.alphas), counts=(2, 1))
         assert fitted.fallback_mean == 0.0
 
 
@@ -116,11 +127,20 @@ class TestFit:
         assert report.fit_seconds > 0.0
         assert all(s.sse >= 0.0 for s in report.subspaces)
 
-    def test_train_mse_matches_eval_exactly(self):
+    @pytest.mark.parametrize("n_rows,counts,cfg", [
+        (600, (2, 2), FitConfig(alphas=(0.5, 0.5))),
+        (40, (4, 4), FitConfig(alphas=(0.5, 0.5))),  # fallback and empty cells
+        (600, (3, 2), FitConfig(alphas=(0.3, 0.7), activation_scope="domain")),
+        (600, (2, 3), FitConfig(alphas=(0.6, 0.4), activation=ActivationKind("sigmoid", 6.0))),
+    ], ids=["subspace", "fallback_and_empty", "domain_scope", "sigmoid"])
+    def test_train_mse_matches_eval_exactly(self, n_rows, counts, cfg):
         """The reported training MSE is the same number a later
         evaluation of the model on the training data produces."""
-        ds = self._dataset()
-        model, report = fit(ds, uniform_partition(BOX2, (2, 2)), FitConfig(alphas=(0.5, 0.5)))
+        ds = self._dataset(n_rows=n_rows)
+        model, report = fit(ds, uniform_partition(BOX2, counts), cfg)
+        if n_rows == 40:
+            assert any(s.fallback and s.n_rows for s in report.subspaces)
+            assert any(s.n_rows == 0 for s in report.subspaces)
         assert report.train_mse == mse(model, ds)
 
     def test_cell_sses_sum_to_train_mse(self):
@@ -129,11 +149,6 @@ class TestFit:
         assert sum(s.sse for s in report.subspaces) / len(ds) == pytest.approx(
             report.train_mse, rel=1e-12
         )
-
-    def test_mse_is_twice_objective_over_n(self):
-        ds = self._dataset()
-        model, _ = fit(ds, uniform_partition(BOX2, (2, 2)), FitConfig(alphas=(0.5, 0.5)))
-        assert mse(model, ds) == pytest.approx(2.0 * objective(model, ds) / len(ds), rel=1e-15)
 
     def test_refinement_never_hurts_with_domain_scope(self):
         """A model fit on partition P stays realizable after splitting one
@@ -203,26 +218,3 @@ class TestFit:
         # no wall clock or timestamps: saved models must be byte-identical
         # across equal-seed runs
         assert set(prov) == {"alphas", "activation", "activation_scope"}
-
-
-class TestThreads:
-    def test_resolve_threads(self, monkeypatch):
-        monkeypatch.delenv("PAIRNET_THREADS", raising=False)
-        assert resolve_threads() == 1
-        assert resolve_threads(3) == 3
-        monkeypatch.setenv("PAIRNET_THREADS", "4")
-        assert resolve_threads() == 4
-        monkeypatch.setenv("PAIRNET_THREADS", "0")
-        assert resolve_threads() == (os.cpu_count() or 1)
-        with pytest.raises(ValueError, match=">= 0"):
-            resolve_threads(-1)
-
-    def test_parallel_fit_is_identical(self):
-        ds = gen_train("f2")
-        part = uniform_partition(ds.domain, (4, 4, 4))
-        cfg = FitConfig(alphas=(0.1, 0.1, 0.8))
-        serial, rep1 = fit(ds, part, cfg, threads=1)
-        threaded, rep2 = fit(ds, part, cfg, threads=4)
-        assert serial == threaded
-        assert rep1.train_mse == rep2.train_mse
-        np.testing.assert_array_equal(forward(serial, ds.X), forward(threaded, ds.X))
