@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .partition import Interval
 
-__all__ = ["ActivationKind", "LINEAR", "pair_activation"]
+__all__ = ["ActivationKind", "LINEAR", "activate", "pair_activation"]
 
 _KINDS = ("linear", "sigmoid")
 
@@ -49,15 +49,23 @@ def pair_activation(x, interval: Interval, kind: ActivationKind = LINEAR):
     g is non-decreasing with g(interval.lo) = 0 and g(interval.hi) = 1;
     inputs outside the interval saturate at those endpoint values.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if kind.tag == "linear":
-        g = np.clip((x - interval.lo) / interval.width, 0.0, 1.0)
-    else:
-        s = kind.steepness
-        u = 2.0 * (x - interval.mid) / interval.width
-        low = expit(-s)
-        g = np.clip((expit(s * u) - low) / (expit(s) - low), 0.0, 1.0)
+    g = activate(x, interval.lo, interval.hi, kind)
     if g.ndim == 0:
         g = float(g)
-        return g, 1.0 - g
     return g, 1.0 - g
+
+
+def activate(x, lo, hi, kind: ActivationKind = LINEAR) -> np.ndarray:
+    """g(x) over the interval [lo, hi], elementwise over broadcast arrays.
+
+    Each output element depends only on its own x, lo and hi, so a point
+    gets the same g whatever batch it is evaluated in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    width = np.subtract(hi, lo)
+    if kind.tag == "linear":
+        return np.clip((x - lo) / width, 0.0, 1.0)
+    s = kind.steepness
+    u = 2.0 * (x - 0.5 * np.add(lo, hi)) / width
+    low = expit(-s)
+    return np.clip((expit(s * u) - low) / (expit(s) - low), 0.0, 1.0)

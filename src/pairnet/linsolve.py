@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "DenseSystem",
@@ -86,29 +86,34 @@ def solve_spd(system: DenseSystem, ridge: float | None = None):
     """
     G, r = system.G, system.r
     d = G.shape[0]
-    if ridge is None:
-        ridge = auto_ridge(G)
-    elif ridge < 0:
+    if ridge is not None and ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     floor = auto_ridge(G)
     cap = _RIDGE_CAP_SCALE * float(np.trace(G)) / d
+    eye = np.eye(d)
 
     escalations = 0
-    current = float(ridge)
+    current = floor if ridge is None else float(ridge)
     while True:
-        try:
-            cf = cho_factor(G + current * np.eye(d), lower=True, check_finite=False)
-            p = cho_solve(cf, r, check_finite=False)
+        A = G + current * eye
+        # LAPACK's Cholesky factor and solve, as scipy's cho_factor and
+        # cho_solve call them, without their wrappers' per-call overhead.
+        factor, info = dpotrf(A, lower=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info == 0:
+            p, info = dpotrs(factor, r, lower=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of potrs")
             break
-        except np.linalg.LinAlgError:
-            nxt = floor if current < floor else current * 10.0
-            if nxt <= current or nxt > cap:
-                raise SingularSystemError(
-                    f"system stayed singular up to ridge {current:g} (cap {cap:g})"
-                ) from None
-            current = nxt
-            escalations += 1
-    res = residual_norm(G + current * np.eye(d), p, r)
+        nxt = floor if current < floor else current * 10.0
+        if nxt <= current or nxt > cap:
+            raise SingularSystemError(
+                f"system stayed singular up to ridge {current:g} (cap {cap:g})"
+            )
+        current = nxt
+        escalations += 1
+    res = residual_norm(A, p, r)
     return p, SolveDiagnostics(ridge=current, escalations=escalations, residual=res)
 
 

@@ -17,12 +17,11 @@ what makes one-shot least-squares fitting possible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .activation import ActivationKind, pair_activation
+from .activation import ActivationKind, activate
 from .partition import Interval, Partition, group_by_cell, locate, locate_many
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
     "betas",
     "feature_row",
     "feature_matrix",
+    "box_bounds",
+    "block_rows",
+    "predict_rows",
     "local_forward",
     "forward",
 ]
@@ -43,18 +45,9 @@ MAX_DIM = 20
 
 _ALPHA_TOL = 1e-12
 
-# Rows per feature block, in the trainer's Gram loop and in predictions:
-# bounds the (rows, 2^(n+1)) feature matrix in memory, and evaluating a
-# cell's rows in the same blocks at fit and at eval keeps the training
-# MSE reproducible bitwise.
-_BLOCK_ROWS = 4096
-
-
-@lru_cache(maxsize=None)
-def _selector(n: int) -> np.ndarray:
-    """(2^n, n) table: entry [k, i] is 1 when term k takes 1 - g_i."""
-    k = np.arange(2**n, dtype=np.int64)
-    return ((k[:, None] >> (n - 1 - np.arange(n))) & 1).astype(np.float64)
+# Feature values per evaluation block (see block_rows). Predictions are
+# row-local, so the blocking never changes a result, only its speed.
+_BLOCK_VALUES = 1 << 15
 
 
 def _check_dim(n: int) -> None:
@@ -66,7 +59,7 @@ def _check_dim(n: int) -> None:
 
 
 def _check_alphas(alphas: np.ndarray) -> None:
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0):
+    if (alphas < 0.0).any() or (alphas > 1.0).any():
         raise ValueError(f"alphas must lie in [0, 1], got {alphas.tolist()}")
     if abs(float(alphas.sum()) - 1.0) > _ALPHA_TOL:
         raise ValueError(f"alphas must sum to 1 within {_ALPHA_TOL:g}, got sum {alphas.sum()!r}")
@@ -85,10 +78,26 @@ def layer2_weights(g, alphas) -> np.ndarray:
     if alphas.shape != (n,):
         raise ValueError(f"alphas shape {alphas.shape} does not match {n} inputs")
     _check_alphas(alphas)
-    sel = _selector(n)
-    base = sel @ alphas                      # contribution of the complemented inputs
-    w = base + g @ ((1.0 - 2.0 * sel) * alphas).T
-    return np.clip(w, 0.0, 1.0)
+    flat = g.reshape(-1, n).T
+    return _fuse(flat, alphas).T.reshape(g.shape[:-1] + (2**n,))
+
+
+def _fuse(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """layer2_weights without the checks, in column layout: g is (n, N)
+    and w comes out (2^n, N), so every operation runs along the rows.
+
+    The pattern table is built one input at a time, from the last input
+    (least significant bit) to the first, so each w_k is the fixed-order
+    sum a_0 + (a_1 + (... + a_{n-1})) with a_i = alpha_i * g_i or
+    alpha_i * (1 - g_i). Every step is elementwise: a point's w depends
+    on that point's g alone.
+    """
+    a = alphas[:, None]
+    pairs = np.stack([g * a, (1.0 - g) * a], axis=1)   # (n, 2, N)
+    w = pairs[-1]
+    for i in range(g.shape[0] - 2, -1, -1):
+        w = (pairs[i, :, None, :] + w[None, :, :]).reshape(-1, g.shape[1])
+    return np.clip(w, 0.0, 1.0, out=w)
 
 
 def betas(w) -> np.ndarray:
@@ -141,12 +150,6 @@ class LocalPairNet:
         return np.concatenate([self.c, self.gamma])
 
 
-def _activations(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
-    cols = [pair_activation(X[..., i], iv, local.activation)[0]
-            for i, iv in enumerate(local.subspace)]
-    return np.stack(cols, axis=-1)
-
-
 def feature_row(local: LocalPairNet, x) -> np.ndarray:
     """Feature vector phi of length 2^(n+1) with output = phi . [c; gamma]."""
     x = np.asarray(x, dtype=np.float64)
@@ -155,20 +158,64 @@ def feature_row(local: LocalPairNet, x) -> np.ndarray:
     return feature_matrix(local, x[None, :])[0]
 
 
-def feature_matrix(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
-    """Feature rows for a batch of points, shape (N, 2^(n+1))."""
+def feature_matrix(local: LocalPairNet, X: np.ndarray, bounds=None) -> np.ndarray:
+    """Feature rows for a batch of points (N, n), shape (N, 2^(n+1)).
+
+    The activations normalize over local.subspace, or over ``bounds``, a
+    pair (lo, hi) of arrays broadcastable to X that gives each row its
+    own box. Every step is elementwise, so a row's features do not
+    depend on the other rows. Layers 2-3 run over block_rows(n) rows at
+    a time, so their temporaries stay small.
+    """
     X = np.asarray(X, dtype=np.float64)
-    g = _activations(local, X)
-    w = layer2_weights(g, local.alphas)
-    b = betas(w)
-    theta = 0.5 * (1.0 - w)
-    return np.concatenate([b, b * theta], axis=-1)
+    n, m = local.n, 2**local.n
+    lo, hi = box_bounds(local.subspace) if bounds is None else bounds
+    # Column layout: (n, N) activations, so every operation runs along the rows.
+    g = activate(np.ascontiguousarray(X.T), np.reshape(lo, (-1, n)).T,
+                 np.reshape(hi, (-1, n)).T, local.activation)
+    phi = np.empty((2 * m, g.shape[1]))    # column layout, returned transposed
+    step = block_rows(n)
+    for start in range(0, g.shape[1], step):
+        cols = slice(start, start + step)
+        w = _fuse(g[:, cols], local.alphas)
+        b = np.divide(w, 2.0 ** (n - 1), out=phi[:m, cols])   # Layer 4's betas
+        theta = np.subtract(1.0, w, out=w)
+        theta *= 0.5
+        np.multiply(b, theta, out=phi[m:, cols])
+    return phi.T
+
+
+def block_rows(n: int) -> int:
+    """Rows per evaluation block for n inputs: about _BLOCK_VALUES
+    feature values, so a block's temporaries stay in cache."""
+    return max(1, _BLOCK_VALUES >> (n + 1))
+
+
+def box_bounds(box) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) arrays of a box of intervals."""
+    return np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
+
+
+def predict_rows(phi: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Row-local prediction phi . params for feature rows (N, d).
+
+    params is (d,) or one vector per row (N, d). The products are summed
+    by halving the columns, a fixed order over each row, so a row's
+    prediction is bitwise the same whatever batch it sits in.
+    """
+    s = phi * params
+    half = s.shape[1] // 2
+    while half:
+        np.add(s[:, :half], s[:, half:2 * half], out=s[:, :half])
+        half //= 2
+    return s[:, 0]
 
 
 def local_forward(local: LocalPairNet, x):
     """Evaluate one cell's network at a point (n,) or batch (N, n).
 
-    A batch is evaluated in blocks of _BLOCK_ROWS rows.
+    A batch is evaluated in blocks of block_rows(n) rows; each row's
+    value is the same as for that point alone.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -177,10 +224,12 @@ def local_forward(local: LocalPairNet, x):
         out = np.full(X.shape[0], local.fallback_mean)
     else:
         params = local.params
+        bounds = box_bounds(local.subspace)
         out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            out[start:stop] = feature_matrix(local, X[start:stop]) @ params
+        step = block_rows(local.n)
+        for start in range(0, X.shape[0], step):
+            stop = start + step
+            out[start:stop] = predict_rows(feature_matrix(local, X[start:stop], bounds), params)
     return float(out[0]) if single else out
 
 
@@ -207,9 +256,9 @@ class PairNetModel:
                 f"model has {len(self.locals)} locals but partition has "
                 f"{self.partition.size} cells"
             )
-        for j, loc in enumerate(self.locals):
-            expected = (self.partition.cell(j) if self.activation_scope == "subspace"
-                        else self.partition.domain)
+        boxes = (self.partition.cells if self.activation_scope == "subspace"
+                 else (self.partition.domain,) * self.partition.size)
+        for j, (loc, expected) in enumerate(zip(self.locals, boxes)):
             if loc.subspace != expected:
                 raise ValueError(
                     f"local {j}: subspace {loc.subspace} does not match the "

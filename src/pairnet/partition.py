@@ -6,13 +6,15 @@ has M = prod(m_i) cells addressed by a flat index (dimension 0 is the
 most significant mixed-radix digit). Routing of points to cells is
 left-closed/right-open per dimension, with the last interval closed and
 out-of-domain points clamped to the nearest boundary cell, so locate()
-is a total function.
+is total over finite points; a NaN or infinite coordinate is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -122,10 +124,16 @@ class Partition:
             flat //= m
         return tuple(reversed(out))
 
+    @cached_property
+    def cells(self) -> tuple[tuple[Interval, ...], ...]:
+        """Every cell's box of intervals, in flat order; built on first use."""
+        return tuple(itertools.product(*(self.intervals(i) for i in range(self.ndim))))
+
     def cell(self, flat: int) -> tuple[Interval, ...]:
         """The box of intervals owned by a flat cell index."""
-        idx = self.decode(flat)
-        return tuple(Interval(e[i], e[i + 1]) for e, i in zip(self.edges, idx))
+        if not 0 <= flat < self.size:
+            raise ValueError(f"cell index {flat} out of range [0, {self.size})")
+        return self.cells[flat]
 
     def counts_label(self) -> str:
         """Textual form of the interval counts, e.g. '6,6,6'."""
@@ -195,9 +203,14 @@ def _per_dim_ranges(count_range, ndim):
 
 
 def locate(partition: Partition, point: Sequence[float]) -> int:
-    """Flat index of the cell owning a point. Total: clamps out-of-domain."""
+    """Flat index of the cell owning a point. Clamps out-of-domain points;
+    refuses a NaN or infinite coordinate."""
     if len(point) != partition.ndim:
         raise ValueError(f"point has {len(point)} dims, partition has {partition.ndim}")
+    if not np.all(np.isfinite(point)):
+        raise ValueError(
+            f"point {np.asarray(point, dtype=np.float64).tolist()} has a non-finite coordinate"
+        )
     idx = []
     for x, e, m in zip(point, partition.edges, partition.counts):
         i = int(np.searchsorted(e, x, side="right")) - 1
@@ -210,6 +223,10 @@ def locate_many(partition: Partition, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != partition.ndim:
         raise ValueError(f"expected (N, {partition.ndim}) points, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"row {row} has a non-finite coordinate: {points[row].tolist()}")
     per_dim = []
     for d, (e, m) in enumerate(zip(partition.edges, partition.counts)):
         i = np.searchsorted(np.asarray(e), points[:, d], side="right") - 1

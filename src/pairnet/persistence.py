@@ -7,7 +7,9 @@ constant fallback mean). Floats are written with shortest round-trip
 decimal encoding, so a load followed by a save reproduces the model
 bit for bit. Loading is strict and all-or-nothing: unknown keys,
 missing fields, wrong shapes or violated invariants raise with the
-offending field named, and no partially built model escapes.
+offending field named, and no partially built model escapes. Files are
+written compact, without indentation or spaces; the loader reads any
+JSON layout.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def save_model(model: PairNetModel, path) -> None:
         "locals": [_local_entry(j, loc) for j, loc in enumerate(model.locals)],
         "provenance": _jsonable(model.provenance, "provenance"),
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _require(doc: dict, key: str, path):
@@ -141,8 +143,7 @@ def _parse_activation(raw, path) -> ActivationKind:
         raise ModelFormatError(f"{path}: activation: {exc}") from None
 
 
-def _parse_local(raw, j: int, partition: Partition, scope: str,
-                 activation: ActivationKind, n: int, path) -> LocalPairNet:
+def _parse_local(raw, j: int, box, activation: ActivationKind, n: int, path) -> LocalPairNet:
     field = f"locals[{j}]"
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: {field} must be an object, got {raw!r}")
@@ -165,7 +166,6 @@ def _parse_local(raw, j: int, partition: Partition, scope: str,
     else:
         c = _as_float_list(_require(raw, "c", path), f"{field}.c", path)
         gamma = _as_float_list(_require(raw, "gamma", path), f"{field}.gamma", path)
-    box = partition.cell(j) if scope == "subspace" else partition.domain
     try:
         return LocalPairNet(
             n=n, alphas=np.asarray(alphas), c=np.asarray(c), gamma=np.asarray(gamma),
@@ -231,9 +231,10 @@ def load_model(path) -> PairNetModel:
         raise ModelFormatError(
             f"{path}: {len(raw_locals)} locals for a partition of {partition.size} cells"
         )
+    boxes = partition.cells if scope == "subspace" else (partition.domain,) * partition.size
     locals_ = tuple(
-        _parse_local(raw, j, partition, scope, activation, n, path)
-        for j, raw in enumerate(raw_locals)
+        _parse_local(raw, j, box, activation, n, path)
+        for j, (raw, box) in enumerate(zip(raw_locals, boxes))
     )
 
     provenance = doc.get("provenance", {})

@@ -1,20 +1,25 @@
 """One-shot closed-form fitting of a pairwise network per partition cell.
 
 For each cell the quadratic objective Q = 1/2 * sum (y - phi . p)^2 over
-the cell's rows is minimized by solving its normal equations: the Gram
-matrix G = sum phi phi^T and moment vector r = sum phi y are accumulated
-in one streaming pass over the rows (bounded memory regardless of data
-size) and handed to the Cholesky solver. Cells with fewer than 2^(n+1)
-rows cannot determine the parameters; depending on policy they either
-raise or fall back to a constant predictor at the target mean. Each
-cell's rows are then predicted once, by the same call evaluation uses,
-and every training error in the report is read from those predictions.
+the cell's rows is minimized by solving its normal equations G p = r,
+with G = sum phi phi^T and r = sum phi y over the cell's rows. fit
+routes the rows once, sorts them by cell and makes two blocked sweeps
+over the sorted rows, so features exist one block at a time (bounded
+memory regardless of data size). The first sweep builds each block's
+features in one call, each row in its own cell's box, adds each cell's
+segment into that cell's G and r, and hands every cell with enough rows
+to the Cholesky solver. Cells with fewer than 2^(n+1) rows cannot
+determine the parameters; depending on policy they either raise or fall
+back to a constant predictor at the target mean. The second sweep
+predicts every row with the row-local kernel evaluation uses, and every
+training error in the report is read from those predictions.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +27,14 @@ import numpy as np
 from .activation import ActivationKind, LINEAR
 from .datasets import Dataset
 from .linsolve import DenseSystem, solve_spd
-from .model import _BLOCK_ROWS, LocalPairNet, PairNetModel, feature_matrix, forward, local_forward
+from .model import (
+    LocalPairNet,
+    PairNetModel,
+    block_rows,
+    feature_matrix,
+    forward,
+    predict_rows,
+)
 from .partition import Partition, route
 
 __all__ = [
@@ -35,6 +47,12 @@ __all__ = [
     "mse",
     "min_rows_threshold",
 ]
+
+
+# Rows per Gram chunk: a cell's normal equations are summed over chunks of
+# this many rows from the cell's start, and the first sweep's feature
+# blocks hold at most this many rows.
+_GRAM_ROWS = 4096
 
 
 class InsufficientDataError(ValueError):
@@ -131,40 +149,19 @@ class FitReport:
         atomic_write_text(path, buf.getvalue())
 
 
-def _solve_cell(X, y, subspace, config):
-    """One cell's network and its solve diagnostics (None for a fallback)."""
-    n = X.shape[1]
-    threshold = min_rows_threshold(n)
-    probe = LocalPairNet(
-        n=n, alphas=np.asarray(config.alphas), c=np.zeros(2**n), gamma=np.zeros(2**n),
-        subspace=tuple(subspace), activation=config.activation,
-    )
-    if len(y) < threshold:
-        if config.min_rows_policy == "error":
-            raise InsufficientDataError(
-                f"{len(y)} rows < {threshold} parameters (2^(n+1) with n={n})"
-            )
-        return replace(probe, fallback_mean=float(np.mean(y)) if len(y) else 0.0), None
-
-    d = 2 ** (n + 1)
-    G = np.zeros((d, d))
-    r = np.zeros(d)
-    for start in range(0, len(y), _BLOCK_ROWS):
-        phi = feature_matrix(probe, X[start:start + _BLOCK_ROWS])
-        G += phi.T @ phi
-        r += phi.T @ y[start:start + _BLOCK_ROWS]
-    p, diag = solve_spd(DenseSystem(G, r), config.ridge)
-    return replace(probe, c=p[:2**n], gamma=p[2**n:]), diag
-
-
 def fit(dataset: Dataset, partition: Partition, config: FitConfig):
-    """Fit one local network per cell; one pass over the data per cell.
+    """Fit one local network per cell, in two blocked sweeps over the rows.
 
-    Rows are routed to cells once. Each cell is solved, then its rows
-    are predicted by local_forward, the same call evaluation makes, so
-    the per-cell SSEs and the training MSE come from one prediction
-    array, and forward() on the training data reproduces it bitwise.
-    fit_seconds covers the whole call, from entry to the assembled model.
+    Rows are routed to cells once and sorted by cell. The first sweep
+    cuts the sorted rows into blocks of at most _GRAM_ROWS rows that end
+    on cell boundaries (a larger cell is cut every _GRAM_ROWS rows from
+    its start), builds each block's features in one call, each row in
+    its own cell's box, and solves every cell with enough rows from its
+    segments' Gram sums, in flat order. The second sweep predicts every
+    row with the row-local kernel local_forward uses, so the per-cell
+    SSEs and the training MSE come from one prediction array, and
+    forward() on the training data reproduces it bitwise. fit_seconds
+    covers the whole call, from entry to the assembled model.
 
     Returns (PairNetModel, FitReport).
     """
@@ -175,25 +172,66 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
     if len(config.alphas) != dataset.n:
         raise ValueError(f"{len(config.alphas)} alphas for {dataset.n} inputs")
+    # The sweeps' temporaries are freed when _fit returns, inside the timing.
+    model, cells, train_mse = _fit(dataset, partition, config)
+    report = FitReport(subspaces=cells, train_mse=train_mse,
+                       fit_seconds=time.perf_counter() - t0)
+    return model, report
 
-    pred = np.empty(len(dataset))
+
+def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
+    """fit's work after validation: (model, per-cell records, train MSE)."""
+    n, size = dataset.n, partition.size
+    m = 2**n
+    probe = LocalPairNet(n=n, alphas=np.asarray(config.alphas), c=np.zeros(m),
+                         gamma=np.zeros(m), subspace=partition.domain,
+                         activation=config.activation)
+    groups = route(partition, dataset)
+    order = np.concatenate(groups)
+    bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
+    X, y = dataset.X[order], dataset.y[order]
+    cell_of = np.repeat(np.arange(size), np.diff(bounds))
+    boxes = (partition.cells if config.activation_scope == "subspace"
+             else (partition.domain,) * size)
+    ends = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes])   # (M, n, 2)
+    lo, hi = ends[:, :, 0].T, ends[:, :, 1].T
+
+    def features(start, stop):
+        """Feature rows of sorted rows start..stop, each in its cell's box."""
+        cells = cell_of[start:stop]
+        return feature_matrix(probe, X[start:stop], (_per_row(lo, cells), _per_row(hi, cells)))
+
+    params, means, diags = _solve_cells(features, y, bounds, partition, config)
+
+    pred_sorted = np.empty(len(y))
+    param_columns = params.T.copy()
+    step = block_rows(n)
+    for start in range(0, len(y), step):
+        stop = min(start + step, len(y))
+        pred_sorted[start:stop] = predict_rows(features(start, stop),
+                                               _per_row(param_columns, cell_of[start:stop]))
+    fallback_rows = np.array([mean is not None for mean in means])[cell_of]
+    fallback_means = np.array([0.0 if mean is None else mean for mean in means])
+    pred_sorted[fallback_rows] = fallback_means[cell_of[fallback_rows]]
+    counts = np.diff(bounds)
+    filled = counts > 0
+    sse = np.zeros(size)
+    sse[filled] = np.add.reduceat((y - pred_sorted) ** 2, np.asarray(bounds[:-1])[filled])
+    pred = np.empty(len(y))
+    pred[order] = pred_sorted
+
     locals_, cells = [], []
-    for j, rows in enumerate(route(partition, dataset)):
-        box = partition.cell(j) if config.activation_scope == "subspace" else partition.domain
-        X, y = dataset.X[rows], dataset.y[rows]
-        try:
-            local, diag = _solve_cell(X, y, box, config)
-        except Exception as exc:
-            raise SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}") from exc
-        cell_pred = local_forward(local, X)
-        pred[rows] = cell_pred
-        sse = float(np.sum((y - cell_pred) ** 2))
+    for j in range(size):
+        locals_.append(LocalPairNet(
+            n=n, alphas=probe.alphas, c=params[j, :m], gamma=params[j, m:],
+            subspace=boxes[j], activation=config.activation, fallback_mean=means[j],
+        ))
+        diag = diags[j]
         if diag is None:
-            cells.append(SubspaceFit(j, len(y), sse, True, None, 0, None))
+            cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), True, None, 0, None))
         else:
-            cells.append(SubspaceFit(j, len(y), sse, False, diag.ridge, diag.escalations,
-                                     diag.residual))
-        locals_.append(local)
+            cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), False, diag.ridge,
+                                     diag.escalations, diag.residual))
 
     model = PairNetModel(
         partition=partition, locals=tuple(locals_), activation_scope=config.activation_scope,
@@ -206,9 +244,77 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
             "activation_scope": config.activation_scope,
         },
     )
-    report = FitReport(subspaces=tuple(cells), train_mse=_mean_squared_error(dataset.y, pred),
-                       fit_seconds=time.perf_counter() - t0)
-    return model, report
+    return model, tuple(cells), _mean_squared_error(dataset.y, pred)
+
+
+def _solve_cells(features, y, bounds, partition, config):
+    """The first sweep, in flat cell order: each cell's parameters (one
+    row of an (M, 2^(n+1)) array) and solve record, or its fallback mean.
+
+    ``features(start, stop)`` gives the feature rows of the cell-sorted
+    rows start..stop; ``bounds[j]:bounds[j + 1]`` are cell j's rows.
+    """
+    n, size = partition.ndim, partition.size
+    d, threshold = 2 ** (n + 1), min_rows_threshold(n)
+    cuts = _block_cuts(bounds, _GRAM_ROWS)
+    params = np.zeros((size, d))
+    means = [None] * size
+    diags = [None] * size
+    block_start = block_stop = 0
+    for j in range(size):
+        a, b = bounds[j], bounds[j + 1]
+        if b - a < threshold:
+            if config.min_rows_policy == "error":
+                exc = InsufficientDataError(
+                    f"{b - a} rows < {threshold} parameters (2^(n+1) with n={n})"
+                )
+                raise _cell_error(partition, j, exc) from exc
+            means[j] = float(np.mean(y[a:b])) if b > a else 0.0
+            continue
+        G = np.zeros((d, d))
+        r = np.zeros(d)
+        for start in range(a, b, _GRAM_ROWS):
+            if start >= block_stop:
+                k = bisect.bisect_right(cuts, start) - 1
+                block_start, block_stop = cuts[k], cuts[k + 1]
+                phi_block = features(block_start, block_stop)
+            stop = min(start + _GRAM_ROWS, b)
+            phi = phi_block[start - block_start:stop - block_start]
+            G += phi.T @ phi
+            r += phi.T @ y[start:stop]
+        try:
+            params[j], diags[j] = solve_spd(DenseSystem(G, r), config.ridge)
+        except Exception as exc:
+            raise _cell_error(partition, j, exc) from exc
+    return params, means, diags
+
+
+def _cell_error(partition: Partition, j: int, exc: Exception) -> SubspaceFitError:
+    return SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}")
+
+
+def _per_row(columns: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each row's column of a per-cell table (k, M), as a (rows, k) view
+    in feature_matrix's layout; rows of one cell share that cell's column."""
+    if cells[0] == cells[-1]:
+        return columns[:, cells[0]]
+    return columns[:, cells].T
+
+
+def _block_cuts(bounds: list[int], limit: int) -> list[int]:
+    """Row offsets that cut cell-sorted rows into blocks of at most limit
+    rows. Blocks end on cell boundaries, except inside a cell of more
+    than limit rows, which is cut every limit rows from its start: the
+    chunks fit's Gram loop reads."""
+    cuts = [0]
+    for a, b in zip(bounds, bounds[1:]):
+        if b - cuts[-1] > limit:
+            if a > cuts[-1]:
+                cuts.append(a)
+            while b - cuts[-1] > limit:
+                cuts.append(cuts[-1] + limit)
+    cuts.append(bounds[-1])
+    return cuts
 
 
 def _mean_squared_error(y: np.ndarray, pred: np.ndarray) -> float:

@@ -1,0 +1,78 @@
+"""Plain per-cell reference for trainer.fit, kept as a test oracle.
+
+This is the fit as pairnet wrote it before the blocked sweeps: route the
+rows once, then cell by cell build the cell's features, sum its normal
+equations in 4096-row chunks from the cell's first row, solve them with
+solve_spd, and predict the cell's rows with local_forward. The fast path
+in trainer.fit must reproduce its fallbacks, errors, parameters, SSEs
+and training MSE.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from pairnet.linsolve import DenseSystem, solve_spd
+from pairnet.model import LocalPairNet, PairNetModel, feature_matrix, local_forward
+from pairnet.partition import route
+from pairnet.trainer import (
+    FitReport,
+    InsufficientDataError,
+    SubspaceFit,
+    SubspaceFitError,
+    min_rows_threshold,
+)
+
+_CHUNK_ROWS = 4096
+
+
+def _solve_cell(X, y, box, config):
+    n = X.shape[1]
+    threshold = min_rows_threshold(n)
+    probe = LocalPairNet(
+        n=n, alphas=np.asarray(config.alphas), c=np.zeros(2**n), gamma=np.zeros(2**n),
+        subspace=tuple(box), activation=config.activation,
+    )
+    if len(y) < threshold:
+        if config.min_rows_policy == "error":
+            raise InsufficientDataError(
+                f"{len(y)} rows < {threshold} parameters (2^(n+1) with n={n})"
+            )
+        return replace(probe, fallback_mean=float(np.mean(y)) if len(y) else 0.0), None
+    d = 2 ** (n + 1)
+    G = np.zeros((d, d))
+    r = np.zeros(d)
+    for start in range(0, len(y), _CHUNK_ROWS):
+        phi = feature_matrix(probe, X[start:start + _CHUNK_ROWS])
+        G += phi.T @ phi
+        r += phi.T @ y[start:start + _CHUNK_ROWS]
+    p, diag = solve_spd(DenseSystem(G, r), config.ridge)
+    return replace(probe, c=p[:2**n], gamma=p[2**n:]), diag
+
+
+def reference_fit(dataset, partition, config):
+    """(PairNetModel, FitReport) of the per-cell fit; fit_seconds is 0."""
+    pred = np.empty(len(dataset))
+    locals_, cells = [], []
+    for j, rows in enumerate(route(partition, dataset)):
+        box = partition.cell(j) if config.activation_scope == "subspace" else partition.domain
+        X, y = dataset.X[rows], dataset.y[rows]
+        try:
+            local, diag = _solve_cell(X, y, box, config)
+        except Exception as exc:
+            raise SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}") from exc
+        cell_pred = local_forward(local, X)
+        pred[rows] = cell_pred
+        sse = float(np.sum((y - cell_pred) ** 2))
+        if diag is None:
+            cells.append(SubspaceFit(j, len(y), sse, True, None, 0, None))
+        else:
+            cells.append(SubspaceFit(j, len(y), sse, False, diag.ridge, diag.escalations,
+                                     diag.residual))
+        locals_.append(local)
+    model = PairNetModel(partition=partition, locals=tuple(locals_),
+                         activation_scope=config.activation_scope)
+    train_mse = float(np.sum((dataset.y - pred) ** 2)) / len(dataset)
+    return model, FitReport(subspaces=tuple(cells), train_mse=train_mse, fit_seconds=0.0)

@@ -11,17 +11,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_box
 from pairnet.activation import LINEAR, ActivationKind, pair_activation
 from pairnet.model import (
-    _BLOCK_ROWS,
     MAX_DIM,
     LocalPairNet,
     PairNetModel,
     betas,
+    block_rows,
     feature_matrix,
     feature_row,
     forward,
@@ -164,12 +164,32 @@ class TestFeaturesAndForward:
         np.testing.assert_allclose(local_forward(local, X), naive, rtol=1e-12, atol=1e-12)
 
     def test_batch_equals_scalar(self, make_local):
-        # batched and one-row matmuls may differ in the last ulp
         local = make_local(n=2, seed=8)
         X = sample_box(local.subspace, 30, seed=4)
         batch = local_forward(local, X)
         singles = [local_forward(local, x) for x in X]
-        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(batch, singles)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 8]), seed=st.integers(0, 10**6),
+           rows=st.integers(1, 3000), tag=st.sampled_from(["linear", "sigmoid"]))
+    def test_predictions_are_row_local(self, n, seed, rows, tag):
+        """A row's prediction is bitwise the same in any permutation or
+        sub-batch of its batch and as a single point, across evaluation
+        block boundaries and for points outside the box."""
+        gen = np.random.default_rng(seed)
+        box = tuple(Interval(float(i), float(i) + gen.uniform(0.5, 3.0)) for i in range(n))
+        local = LocalPairNet(n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+                             gamma=gen.normal(size=2**n), subspace=box,
+                             activation=ActivationKind(tag))
+        X = np.column_stack([gen.uniform(iv.lo - 0.5, iv.hi + 0.5, rows) for iv in box])
+        full = local_forward(local, X)
+        perm = gen.permutation(rows)
+        np.testing.assert_array_equal(local_forward(local, X[perm]), full[perm])
+        a, b = sorted(gen.integers(0, rows + 1, size=2))
+        np.testing.assert_array_equal(local_forward(local, X[a:b]), full[a:b])
+        for i in gen.choice(rows, size=min(rows, 5), replace=False):
+            assert local_forward(local, X[i]) == full[i]
 
     def test_output_linear_in_params(self, make_local):
         """f is affine-free and linear in the stacked [c; gamma]."""
@@ -226,22 +246,36 @@ class TestPairNetModel:
 
     def test_batch_forward_matches_per_point(self, rng):
         """Per-point forward is the reference for the grouped batch path,
-        over empty cells, breakpoints, out-of-domain points and a cell
-        whose rows span more than one evaluation block."""
+        bitwise, over empty cells, breakpoints, out-of-domain points and
+        a cell whose rows span more than one evaluation block."""
         model = self._model(counts=(3, 3), seed=4)
         part = model.partition
-        crowd = np.column_stack([rng.uniform(0.0, 1.0, _BLOCK_ROWS + 900),
-                                 rng.uniform(-1.0, -0.5, _BLOCK_ROWS + 900)])
+        crowd = np.column_stack([rng.uniform(0.0, 1.0, block_rows(2) + 900),
+                                 rng.uniform(-1.0, -0.5, block_rows(2) + 900)])
         on_breakpoints = np.array([(a, part.edges[1][1]) for a in part.edges[0]])
         outside = np.array([[-3.0, -5.0], [9.0, 0.2], [2.0, 7.0], [4.0, 1.0]])
         spread = np.column_stack([rng.uniform(-1, 5, 200), rng.uniform(-2, -0.5, 200)])
         X = rng.permutation(np.vstack([crowd, on_breakpoints, outside, spread]))
         rows_per_cell = np.bincount(locate_many(part, X), minlength=part.size)
-        assert rows_per_cell.max() > _BLOCK_ROWS
+        assert rows_per_cell.max() > block_rows(2)
         assert rows_per_cell.min() == 0
         batch = forward(model, X)
         singles = np.array([forward(model, x) for x in X])
-        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(batch, singles)
+        perm = rng.permutation(len(X))
+        np.testing.assert_array_equal(forward(model, X[perm]), batch[perm])
+        np.testing.assert_array_equal(forward(model, X[37:1500]), batch[37:1500])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_forward_rejects_non_finite_points(self, bad):
+        model = self._model()
+        X = np.array([[0.5, -0.5], [3.5, 0.5], [9.0, 0.2], [1.0, 0.0]])
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match=r"row 3 has a non-finite coordinate"):
+            forward(model, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(model, X[3])
+        assert np.isfinite(forward(model, X[:3])).all()  # outside the domain still clamps
 
     def test_locals_count_must_match(self):
         model = self._model()

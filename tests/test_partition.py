@@ -131,6 +131,28 @@ class TestLocate:
         flat = locate_many(part, points)
         assert flat.tolist() == [locate(part, x) for x in points]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        """A NaN or infinite coordinate is refused, naming the row; finite
+        points outside the domain still clamp (test_out_of_domain_clamps)."""
+        part = uniform_partition(BOX, (2, 2, 2))
+        points = np.tile([5.0, 0.0, 10.0], (4, 1))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match=r"row 2 has a non-finite coordinate"):
+            locate_many(part, points)
+        with pytest.raises(ValueError, match="non-finite"):
+            locate(part, points[2])
+
+    def test_cells_are_built_once_in_flat_order(self):
+        part = random_partition(BOX, (2, 4), np.random.default_rng(7))
+        assert part.cells is part.cells
+        assert len(part.cells) == part.size
+        for j, box in enumerate(part.cells):
+            assert part.cell(j) is box
+            assert box == tuple(part.intervals(d)[i] for d, i in enumerate(part.decode(j)))
+        with pytest.raises(ValueError, match="out of range"):
+            part.cell(part.size)
+
     def test_dimension_mismatch(self):
         part = uniform_partition(BOX, (2, 2, 2))
         with pytest.raises(ValueError):

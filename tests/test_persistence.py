@@ -54,6 +54,29 @@ class TestRoundTrip:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_is_compact(self, fitted_model, tmp_path):
+        model, _ = fitted_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert ", " not in text and '": ' not in text
+        assert text == json.dumps(_doc(path), separators=(",", ":")) + "\n"
+
+    def test_indented_file_loads(self, fitted_model, tmp_path):
+        """Files written with indentation, as older versions wrote them,
+        load to the same model, and saving it again writes the compact form."""
+        model, ds = fitted_model
+        compact, indented, again = (tmp_path / f"{name}.json"
+                                    for name in ("compact", "indented", "again"))
+        save_model(model, compact)
+        indented.write_text(json.dumps(_doc(compact), indent=2) + "\n")
+        back = load_model(indented)
+        assert back == model
+        np.testing.assert_array_equal(forward(back, ds.X), forward(model, ds.X))
+        save_model(back, again)
+        assert again.read_bytes() == compact.read_bytes()
+
     def test_fallback_cells_survive(self, make_local, tmp_path):
         from pairnet.activation import LINEAR
         from pairnet.model import LocalPairNet, PairNetModel

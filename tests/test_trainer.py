@@ -4,13 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_box
+from reference_fit import reference_fit
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.linsolve import DenseSystem, solve_spd
 from pairnet.model import feature_matrix, feature_row, local_forward
-from pairnet.partition import Interval, uniform_partition
+from pairnet.partition import Interval, Partition, random_partition, uniform_partition
 from pairnet.trainer import (
     FitConfig,
     InsufficientDataError,
@@ -218,3 +221,75 @@ class TestFit:
         # no wall clock or timestamps: saved models must be byte-identical
         # across equal-seed runs
         assert set(prov) == {"alphas", "activation", "activation_scope"}
+
+
+def _outcome(dataset, partition, config, fitter):
+    """(model, report) of a fit, or the SubspaceFitError it raised."""
+    try:
+        return fitter(dataset, partition, config)
+    except SubspaceFitError as exc:
+        return exc
+
+
+class TestMatchesPerCellReference:
+    """fit's blocked sweeps against the plain per-cell fit in
+    tests/reference_fit.py."""
+
+    def _assert_same_fit(self, fast, ref, dataset):
+        (model, report), (ref_model, ref_report) = fast, ref
+        assert [s.fallback for s in report.subspaces] == [s.fallback for s in ref_report.subspaces]
+        assert [s.n_rows for s in report.subspaces] == [s.n_rows for s in ref_report.subspaces]
+        for loc, want, cell, want_cell in zip(model.locals, ref_model.locals,
+                                              report.subspaces, ref_report.subspaces):
+            assert loc.subspace == want.subspace
+            assert loc.fallback_mean == want.fallback_mean
+            assert np.linalg.norm(loc.params - want.params) <= 1e-9 * np.linalg.norm(want.params)
+            assert abs(cell.sse - want_cell.sse) <= 1e-12 * want_cell.sse
+            assert (cell.ridge, cell.escalations) == (want_cell.ridge, want_cell.escalations)
+        assert abs(report.train_mse - ref_report.train_mse) <= 1e-12 * ref_report.train_mse
+        assert report.train_mse == mse(model, dataset)
+
+    def test_cells_larger_than_a_gram_chunk(self):
+        """A cell of more than 4096 rows is summed in chunks from its
+        first row, and later cells straddle row 8192 of the sorted rows,
+        between short and empty cells."""
+        gen = np.random.default_rng(11)
+        crowd = np.column_stack([gen.uniform(0.0, 0.9, 6000), gen.uniform(1.0, 1.9, 6000)])
+        spread = np.column_stack([gen.uniform(0.0, 1.8, 3000), gen.uniform(1.0, 2.8, 3000)])
+        X = np.vstack([crowd, spread, [[1.9, 2.9]] * 3])
+        dataset = Dataset(X, np.sin(X[:, 0]) * X[:, 1], BOX2)
+        partition = Partition(((0.0, 1.0, 1.85, 2.0), (1.0, 2.0, 2.85, 3.0)))
+        config = FitConfig(alphas=(0.4, 0.6))
+        fast = fit(dataset, partition, config)
+        counts = [s.n_rows for s in fast[1].subspaces]
+        starts = np.cumsum([0] + counts)
+        assert max(counts) > 4096 and 0 in counts and any(0 < c < 8 for c in counts)
+        assert any(a < 8192 < b for a, b in zip(starts, starts[1:]))
+        self._assert_same_fit(fast, reference_fit(dataset, partition, config), dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 10**6),
+           scope=st.sampled_from(["subspace", "domain"]),
+           tag=st.sampled_from(["linear", "sigmoid"]),
+           policy=st.sampled_from(["fallback_mean", "error"]),
+           ridge=st.sampled_from([None, 0.0]))
+    def test_fit_matches_reference(self, n, seed, scope, tag, policy, ridge):
+        gen = np.random.default_rng(seed)
+        domain = tuple(Interval(-1.0 - i, 2.0 + gen.uniform(0.0, 3.0)) for i in range(n))
+        partition = random_partition(domain, (1, 4), gen)
+        # Skewed points leave some cells crowded, some short and some empty.
+        rows = int(gen.integers(1, 60 * 2**n))
+        X = np.column_stack([iv.lo + iv.width * gen.beta(0.6, 1.5, rows) for iv in domain])
+        y = np.sin(X.sum(axis=1)) + X[:, 0] * X[:, -1] + 0.1 * gen.normal(size=rows)
+        dataset = Dataset(X, y, domain)
+        config = FitConfig(alphas=gen.dirichlet(np.ones(n)), activation=ActivationKind(tag),
+                           ridge=ridge, min_rows_policy=policy, activation_scope=scope)
+
+        fast = _outcome(dataset, partition, config, fit)
+        ref = _outcome(dataset, partition, config, reference_fit)
+        if isinstance(ref, Exception):
+            assert type(fast) is type(ref) and str(fast) == str(ref)
+            assert type(fast.__cause__) is type(ref.__cause__)
+            assert str(fast.__cause__) == str(ref.__cause__)
+            return
+        self._assert_same_fit(fast, ref, dataset)
