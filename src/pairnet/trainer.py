@@ -153,8 +153,8 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
     """Fit one local network per cell, in two blocked sweeps over the rows.
 
     Rows are routed to cells once and sorted by cell. The first sweep
-    cuts the sorted rows into blocks of at most _GRAM_ROWS rows that end
-    on cell boundaries (a larger cell is cut every _GRAM_ROWS rows from
+    reads the sorted rows in blocks of at most _GRAM_ROWS rows that end
+    on cell boundaries (a larger cell is read every _GRAM_ROWS rows from
     its start), builds each block's features in one call, each row in
     its own cell's box, and solves every cell with enough rows from its
     segments' Gram sums, in flat order. The second sweep predicts every
@@ -256,7 +256,6 @@ def _solve_cells(features, y, bounds, partition, config):
     """
     n, size = partition.ndim, partition.size
     d, threshold = 2 ** (n + 1), min_rows_threshold(n)
-    cuts = _block_cuts(bounds, _GRAM_ROWS)
     params = np.zeros((size, d))
     means = [None] * size
     diags = [None] * size
@@ -274,11 +273,12 @@ def _solve_cells(features, y, bounds, partition, config):
         G = np.zeros((d, d))
         r = np.zeros(d)
         for start in range(a, b, _GRAM_ROWS):
-            if start >= block_stop:
-                k = bisect.bisect_right(cuts, start) - 1
-                block_start, block_stop = cuts[k], cuts[k + 1]
-                phi_block = features(block_start, block_stop)
             stop = min(start + _GRAM_ROWS, b)
+            if start >= block_stop:
+                # A new block: this chunk, then whole cells up to _GRAM_ROWS rows.
+                reach = bounds[bisect.bisect_right(bounds, start + _GRAM_ROWS) - 1]
+                block_start, block_stop = start, max(stop, reach)
+                phi_block = features(block_start, block_stop)
             phi = phi_block[start - block_start:stop - block_start]
             G += phi.T @ phi
             r += phi.T @ y[start:stop]
@@ -299,22 +299,6 @@ def _per_row(columns: np.ndarray, cells: np.ndarray) -> np.ndarray:
     if cells[0] == cells[-1]:
         return columns[:, cells[0]]
     return columns[:, cells].T
-
-
-def _block_cuts(bounds: list[int], limit: int) -> list[int]:
-    """Row offsets that cut cell-sorted rows into blocks of at most limit
-    rows. Blocks end on cell boundaries, except inside a cell of more
-    than limit rows, which is cut every limit rows from its start: the
-    chunks fit's Gram loop reads."""
-    cuts = [0]
-    for a, b in zip(bounds, bounds[1:]):
-        if b - cuts[-1] > limit:
-            if a > cuts[-1]:
-                cuts.append(a)
-            while b - cuts[-1] > limit:
-                cuts.append(cuts[-1] + limit)
-    cuts.append(bounds[-1])
-    return cuts
 
 
 def _mean_squared_error(y: np.ndarray, pred: np.ndarray) -> float:
