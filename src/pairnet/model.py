@@ -32,6 +32,7 @@ __all__ = [
     "betas",
     "feature_row",
     "feature_matrix",
+    "scope_boxes",
     "box_bounds",
     "block_rows",
     "predict_rows",
@@ -191,6 +192,14 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES >> (n + 1))
 
 
+def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...], ...]:
+    """Each cell's activation box, in flat order: the cell itself
+    ("subspace" scope) or the partition's whole domain ("domain")."""
+    if scope == "subspace":
+        return partition.cells
+    return (partition.domain,) * partition.size
+
+
 def box_bounds(box) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) arrays of a box of intervals."""
     return np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
@@ -256,8 +265,7 @@ class PairNetModel:
                 f"model has {len(self.locals)} locals but partition has "
                 f"{self.partition.size} cells"
             )
-        boxes = (self.partition.cells if self.activation_scope == "subspace"
-                 else (self.partition.domain,) * self.partition.size)
+        boxes = scope_boxes(self.partition, self.activation_scope)
         for j, (loc, expected) in enumerate(zip(self.locals, boxes)):
             if loc.subspace != expected:
                 raise ValueError(

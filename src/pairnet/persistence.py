@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .activation import ActivationKind
 from .ioutil import atomic_write_text
-from .model import LocalPairNet, PairNetModel
+from .model import LocalPairNet, PairNetModel, scope_boxes
 from .partition import Partition
 
 __all__ = [
@@ -231,10 +231,9 @@ def load_model(path) -> PairNetModel:
         raise ModelFormatError(
             f"{path}: {len(raw_locals)} locals for a partition of {partition.size} cells"
         )
-    boxes = partition.cells if scope == "subspace" else (partition.domain,) * partition.size
     locals_ = tuple(
         _parse_local(raw, j, box, activation, n, path)
-        for j, (raw, box) in enumerate(zip(raw_locals, boxes))
+        for j, (raw, box) in enumerate(zip(raw_locals, scope_boxes(partition, scope)))
     )
 
     provenance = doc.get("provenance", {})

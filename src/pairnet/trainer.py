@@ -34,6 +34,7 @@ from .model import (
     feature_matrix,
     forward,
     predict_rows,
+    scope_boxes,
 )
 from .partition import Partition, route
 
@@ -191,8 +192,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
     X, y = dataset.X[order], dataset.y[order]
     cell_of = np.repeat(np.arange(size), np.diff(bounds))
-    boxes = (partition.cells if config.activation_scope == "subspace"
-             else (partition.domain,) * size)
+    boxes = scope_boxes(partition, config.activation_scope)
     ends = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes])   # (M, n, 2)
     lo, hi = ends[:, :, 0].T, ends[:, :, 1].T
 
