@@ -33,7 +33,6 @@ __all__ = [
     "feature_row",
     "feature_matrix",
     "scope_boxes",
-    "box_bounds",
     "block_rows",
     "predict_rows",
     "local_forward",
@@ -170,7 +169,7 @@ def feature_matrix(local: LocalPairNet, X: np.ndarray, bounds=None) -> np.ndarra
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = local.n, 2**local.n
-    lo, hi = box_bounds(local.subspace) if bounds is None else bounds
+    lo, hi = _box_bounds(local.subspace) if bounds is None else bounds
     # Column layout: (n, N) activations, so every operation runs along the rows.
     g = activate(np.ascontiguousarray(X.T), np.reshape(lo, (-1, n)).T,
                  np.reshape(hi, (-1, n)).T, local.activation)
@@ -200,7 +199,7 @@ def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...],
     return (partition.domain,) * partition.size
 
 
-def box_bounds(box) -> tuple[np.ndarray, np.ndarray]:
+def _box_bounds(box) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) arrays of a box of intervals."""
     return np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
 
@@ -233,7 +232,7 @@ def local_forward(local: LocalPairNet, x):
         out = np.full(X.shape[0], local.fallback_mean)
     else:
         params = local.params
-        bounds = box_bounds(local.subspace)
+        bounds = _box_bounds(local.subspace)
         out = np.empty(X.shape[0])
         step = block_rows(local.n)
         for start in range(0, X.shape[0], step):
