@@ -3,8 +3,10 @@
 
 Two kinds are provided. "linear" is min-max normalization over the
 interval; "sigmoid" is a logistic curve affinely renormalized so that
-g(lo) = 0 and g(hi) = 1 exactly. Both clamp outside the interval, so the
-pair is total, complementary (g + gbar == 1) and non-decreasing.
+g(lo) = 0 and g(hi) = 1 exactly, with the logistic evaluated as
+0.5 + 0.5 * tanh(z / 2), which never overflows. Both clamp outside the
+interval, so the pair is total, complementary (g + gbar == 1) and
+non-decreasing.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .partition import Interval
 
@@ -36,8 +37,8 @@ class ActivationKind:
     def __post_init__(self):
         if self.tag not in _KINDS:
             raise ValueError(f"unknown activation kind {self.tag!r}; expected one of {_KINDS}")
-        if not self.steepness > 0:
-            raise ValueError(f"steepness must be positive, got {self.steepness!r}")
+        if not 0 < self.steepness < np.inf:
+            raise ValueError(f"steepness must be positive and finite, got {self.steepness!r}")
 
 
 LINEAR = ActivationKind("linear")
@@ -67,5 +68,10 @@ def activate(x, lo, hi, kind: ActivationKind = LINEAR) -> np.ndarray:
         return np.clip((x - lo) / width, 0.0, 1.0)
     s = kind.steepness
     u = 2.0 * (x - 0.5 * np.add(lo, hi)) / width
-    low = expit(-s)
-    return np.clip((expit(s * u) - low) / (expit(s) - low), 0.0, 1.0)
+    low = _logistic(-s)
+    return np.clip((_logistic(s * u) - low) / (_logistic(s) - low), 0.0, 1.0)
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)) in the tanh form, finite for every finite z."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))

@@ -129,6 +129,17 @@ def _parse_functions(text: str) -> tuple[str, ...]:
     return tags
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a finite number; argparse names the flag on error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _activation(args) -> ActivationKind:
     try:
         return ActivationKind(args.activation, args.steepness)
@@ -380,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def fit_flags(p):
         p.add_argument("--activation", default="linear", choices=("linear", "sigmoid"))
-        p.add_argument("--steepness", type=float, default=4.0,
+        p.add_argument("--steepness", type=_finite_float, default=4.0,
                        help="sigmoid steepness (ignored for linear)")
-        p.add_argument("--ridge", type=float, default=None,
+        p.add_argument("--ridge", type=_finite_float, default=None,
                        help="fixed ridge; default is the solver's auto floor")
         p.add_argument("--min-rows-policy", default="fallback_mean",
                        choices=("fallback_mean", "error"))

@@ -12,17 +12,22 @@ weights beta_k = w_k / 2^(n-1).
 The output is linear in the trainable (c, gamma): it equals the dot
 product of a feature row [beta, beta * theta] with [c; gamma], which is
 what makes one-shot least-squares fitting possible.
+
+fit's training predictions, forward() and local_forward() share one kernel,
+_predict; each of its steps is elementwise or a fixed-order sum over one
+row, so a row predicts bitwise the same in any batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .activation import ActivationKind, activate
-from .partition import Interval, Partition, group_by_cell, locate, locate_many
+from .partition import Interval, Partition, locate_many
 
 __all__ = [
     "MAX_DIM",
@@ -79,12 +84,13 @@ def layer2_weights(g, alphas) -> np.ndarray:
         raise ValueError(f"alphas shape {alphas.shape} does not match {n} inputs")
     _check_alphas(alphas)
     flat = g.reshape(-1, n).T
-    return _fuse(flat, alphas).T.reshape(g.shape[:-1] + (2**n,))
+    return _fuse(flat, alphas[:, None]).T.reshape(g.shape[:-1] + (2**n,))
 
 
-def _fuse(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """layer2_weights without the checks, in column layout: g is (n, N)
-    and w comes out (2^n, N), so every operation runs along the rows.
+def _fuse(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """layer2_weights without the checks, in column layout: g is (n, N),
+    the alphas a are (n, 1) or one column per row (n, N), and w comes
+    out (2^n, N), so every operation runs along the rows.
 
     The pattern table is built one input at a time, from the last input
     (least significant bit) to the first, so each w_k is the fixed-order
@@ -92,7 +98,6 @@ def _fuse(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     alpha_i * (1 - g_i). Every step is elementwise: a point's w depends
     on that point's g alone.
     """
-    a = alphas[:, None]
     pairs = np.stack([g * a, (1.0 - g) * a], axis=1)   # (n, 2, N)
     w = pairs[-1]
     for i in range(g.shape[0] - 2, -1, -1):
@@ -143,6 +148,8 @@ class LocalPairNet:
             raise ValueError(f"gamma must have length {m}, got shape {self.gamma.shape}")
         if len(self.subspace) != self.n:
             raise ValueError(f"subspace must have {self.n} intervals, got {len(self.subspace)}")
+        if self.fallback_mean is not None and not np.isfinite(self.fallback_mean):
+            raise ValueError(f"fallback_mean must be finite, got {self.fallback_mean!r}")
 
     @property
     def params(self) -> np.ndarray:
@@ -158,26 +165,30 @@ def feature_row(local: LocalPairNet, x) -> np.ndarray:
     return feature_matrix(local, x[None, :])[0]
 
 
-def feature_matrix(local: LocalPairNet, X: np.ndarray, bounds=None) -> np.ndarray:
+def feature_matrix(local: LocalPairNet, X: np.ndarray, rows=None) -> np.ndarray:
     """Feature rows for a batch of points (N, n), shape (N, 2^(n+1)).
 
-    The activations normalize over local.subspace, or over ``bounds``, a
-    pair (lo, hi) of arrays broadcastable to X that gives each row its
-    own box. Every step is elementwise, so a row's features do not
-    depend on the other rows. Layers 2-3 run over block_rows(n) rows at
-    a time, so their temporaries stay small.
+    The activations normalize over local.subspace and fuse with
+    local.alphas, or per row: ``rows``, a triple (lo, hi, alphas) of
+    arrays broadcastable to X, gives each row its own box and alphas.
+    Every step is elementwise, so a row's features do not depend on the
+    other rows. Layers 2-3 run over block_rows(n) rows at a time, so
+    their temporaries stay small.
     """
     X = np.asarray(X, dtype=np.float64)
     n, m = local.n, 2**local.n
-    lo, hi = _box_bounds(local.subspace) if bounds is None else bounds
+    if rows is None:
+        lo, hi = np.array([(iv.lo, iv.hi) for iv in local.subspace]).T
+        rows = (lo, hi, local.alphas)
     # Column layout: (n, N) activations, so every operation runs along the rows.
-    g = activate(np.ascontiguousarray(X.T), np.reshape(lo, (-1, n)).T,
-                 np.reshape(hi, (-1, n)).T, local.activation)
+    lo, hi, alphas = (np.reshape(t, (-1, n)).T for t in rows)
+    g = activate(np.ascontiguousarray(X.T), lo, hi, local.activation)
+    alphas = np.broadcast_to(alphas, g.shape)
     phi = np.empty((2 * m, g.shape[1]))    # column layout, returned transposed
     step = block_rows(n)
     for start in range(0, g.shape[1], step):
         cols = slice(start, start + step)
-        w = _fuse(g[:, cols], local.alphas)
+        w = _fuse(g[:, cols], alphas[:, cols])
         b = np.divide(w, 2.0 ** (n - 1), out=phi[:m, cols])   # Layer 4's betas
         theta = np.subtract(1.0, w, out=w)
         theta *= 0.5
@@ -199,11 +210,6 @@ def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...],
     return (partition.domain,) * partition.size
 
 
-def _box_bounds(box) -> tuple[np.ndarray, np.ndarray]:
-    """The (lo, hi) arrays of a box of intervals."""
-    return np.array([iv.lo for iv in box]), np.array([iv.hi for iv in box])
-
-
 def predict_rows(phi: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Row-local prediction phi . params for feature rows (N, d).
 
@@ -219,6 +225,40 @@ def predict_rows(phi: np.ndarray, params: np.ndarray) -> np.ndarray:
     return s[:, 0]
 
 
+def _tables_of(locs) -> tuple[np.ndarray, ...]:
+    """_predict's tables of a sequence of locals, one column per local."""
+    lo, hi = np.array([[(iv.lo, iv.hi) for iv in loc.subspace] for loc in locs]).T
+    return (lo, hi, np.array([loc.alphas for loc in locs]).T.copy(),
+            np.array([loc.params for loc in locs]).T.copy(),
+            np.array([[loc.fallback_mean for loc in locs]], dtype=float))  # None -> NaN
+
+
+def _columns(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each row's column of a per-cell table (k, M), as (rows, k) in
+    feature_matrix's layout, for rows sorted by cell: a run that starts
+    and ends in one cell lies in it and shares that column, a view."""
+    if cells[0] == cells[-1]:
+        return table[:, cells[0], None].T
+    return np.take(table, cells, axis=1).T
+
+
+def _predict(template: LocalPairNet, tables, X: np.ndarray, cells: np.ndarray):
+    """Predictions for rows X sorted by cell; template gives n and the
+    activation. tables holds one column per cell: box ends lo, hi and
+    alphas (n, M), [c; gamma] (2^(n+1), M) and the fallback mean (1, M),
+    NaN where the cell is solved; cells[i] is row i's column. Blocks of
+    block_rows(n) rows go through feature_matrix and predict_rows.
+    """
+    out = np.empty(len(X))
+    step = block_rows(template.n)
+    for start in range(0, len(X), step):
+        rows = slice(start, start + step)
+        lo, hi, alphas, params, mean = (_columns(t, cells[rows]) for t in tables)
+        pred = predict_rows(feature_matrix(template, X[rows], (lo, hi, alphas)), params)
+        out[rows] = np.where(np.isnan(mean[:, 0]), pred, mean[:, 0])
+    return out
+
+
 def local_forward(local: LocalPairNet, x):
     """Evaluate one cell's network at a point (n,) or batch (N, n).
 
@@ -226,19 +266,9 @@ def local_forward(local: LocalPairNet, x):
     value is the same as for that point alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if local.fallback_mean is not None:
-        out = np.full(X.shape[0], local.fallback_mean)
-    else:
-        params = local.params
-        bounds = _box_bounds(local.subspace)
-        out = np.empty(X.shape[0])
-        step = block_rows(local.n)
-        for start in range(0, X.shape[0], step):
-            stop = start + step
-            out[start:stop] = predict_rows(feature_matrix(local, X[start:stop], bounds), params)
-    return float(out[0]) if single else out
+    X = x[None, :] if x.ndim == 1 else x
+    out = _predict(local, _tables_of([local]), X, np.zeros(len(X), dtype=np.intp))
+    return float(out[0]) if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -247,8 +277,9 @@ class PairNetModel:
 
     ``activation_scope`` records what the activations normalize over:
     "subspace" (each local uses its own cell) or "domain" (all locals
-    share the partition's domain box). Provenance is free-form metadata
-    and never participates in equality.
+    share the partition's domain box). Every local uses local 0's
+    activation. Provenance is free-form metadata and never participates
+    in equality.
     """
 
     partition: Partition
@@ -271,26 +302,27 @@ class PairNetModel:
                     f"local {j}: subspace {loc.subspace} does not match the "
                     f"partition's ({self.activation_scope} scope)"
                 )
+            if loc.activation != self.locals[0].activation:
+                raise ValueError(f"local {j}: activation {loc.activation} differs from "
+                                 f"local 0's {self.locals[0].activation}")
 
     @property
     def n(self) -> int:
         return self.partition.ndim
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The prediction tables, built from the locals on first use."""
+        return _tables_of(self.locals)
+
     def __eq__(self, other):
         if not isinstance(other, PairNetModel):
             return NotImplemented
-        if self.partition != other.partition or self.activation_scope != other.activation_scope:
-            return False
-        return len(self.locals) == len(other.locals) and all(
-            a.n == b.n
-            and np.array_equal(a.alphas, b.alphas)
-            and np.array_equal(a.c, b.c)
-            and np.array_equal(a.gamma, b.gamma)
-            and a.subspace == b.subspace
-            and a.activation == b.activation
-            and a.fallback_mean == b.fallback_mean
-            for a, b in zip(self.locals, other.locals)
-        )
+        return (self.partition == other.partition
+                and self.activation_scope == other.activation_scope
+                and self.locals[0].activation == other.locals[0].activation
+                and all(np.array_equal(a, b, equal_nan=True)
+                        for a, b in zip(self._tables, other._tables)))
 
     __hash__ = None
 
@@ -300,16 +332,14 @@ def forward(model: PairNetModel, x):
 
     Each point is routed to its cell's local network; points on interior
     breakpoints belong to the upper cell, and points outside the domain
-    use the nearest boundary cell. A batch is grouped by cell as route()
-    groups it, so on the training rows this repeats fit's predictions
-    bitwise.
+    use the nearest boundary cell. The rows are sorted by cell for the
+    kernel fit uses, so on the training rows this repeats fit bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return local_forward(model.locals[locate(model.partition, x)], x)
-    groups = group_by_cell(locate_many(model.partition, x), model.partition.size)
-    out = np.empty(x.shape[0])
-    for local, rows in zip(model.locals, groups):
-        if len(rows):
-            out[rows] = local_forward(local, x[rows])
-    return out
+    X = x[None, :] if x.ndim == 1 else x
+    cells = locate_many(model.partition, X)
+    order = np.argsort(cells, kind="stable")
+    out = np.empty(len(X))
+    out[order] = _predict(model.locals[0], model._tables, np.take(X, order, axis=0),
+                          cells[order])
+    return float(out[0]) if x.ndim == 1 else out

@@ -27,7 +27,6 @@ __all__ = [
     "random_partition",
     "locate",
     "locate_many",
-    "group_by_cell",
     "route",
 ]
 
@@ -241,15 +240,6 @@ def route(partition: Partition, dataset) -> list[np.ndarray]:
     """
     if dataset.n != partition.ndim:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
-    return group_by_cell(locate_many(partition, dataset.X), partition.size)
-
-
-def group_by_cell(flat: np.ndarray, size: int) -> list[np.ndarray]:
-    """Group row indices by flat cell index, in flat-index order.
-
-    The sort is stable, so each of the ``size`` arrays lists its rows in
-    ascending order; equal inputs always give equal groups.
-    """
-    order = np.argsort(flat, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=size))])
-    return [order[bounds[j]:bounds[j + 1]] for j in range(size)]
+    flat = locate_many(partition, dataset.X)
+    ends = np.cumsum(np.bincount(flat, minlength=partition.size))
+    return np.split(np.argsort(flat, kind="stable"), ends[:-1])

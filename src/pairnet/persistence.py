@@ -6,8 +6,9 @@ per cell (fusion weights plus either the solved [c, gamma] or the
 constant fallback mean). Floats are written with shortest round-trip
 decimal encoding, so a load followed by a save reproduces the model
 bit for bit. Loading is strict and all-or-nothing: unknown keys,
-missing fields, wrong shapes or violated invariants raise with the
-offending field named, and no partially built model escapes. Files are
+missing fields, wrong shapes, non-finite numbers (JSON's NaN and
+Infinity literals) or violated invariants raise with the offending
+field named, and no partially built model escapes. Files are
 written compact, without indentation or spaces; the loader reads any
 JSON layout.
 """
@@ -15,6 +16,7 @@ JSON layout.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -118,7 +120,13 @@ def _as_int(value, field: str, path) -> int:
 def _as_float(value, field: str, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"{path}: {field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFormatError(f"{path}: {field} must be finite, got {value!r}")
+    return number
 
 
 def _as_float_list(value, field: str, path) -> list[float]:

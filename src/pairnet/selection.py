@@ -56,6 +56,8 @@ class SelectionConfig:
             raise ValueError(
                 f"holdout fraction must be in (0, 0.5], got {self.holdout_fraction}"
             )
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
         if self.alphas is not None:
             object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 

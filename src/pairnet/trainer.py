@@ -11,7 +11,7 @@ segment into that cell's G and r, and hands every cell with enough rows
 to the Cholesky solver. Cells with fewer than 2^(n+1) rows cannot
 determine the parameters; depending on policy they either raise or fall
 back to a constant predictor at the target mean. The second sweep
-predicts every row with the row-local kernel evaluation uses, and every
+predicts every row with the prediction kernel forward() uses, and every
 training error in the report is read from those predictions.
 """
 
@@ -30,10 +30,10 @@ from .linsolve import DenseSystem, solve_spd
 from .model import (
     LocalPairNet,
     PairNetModel,
-    block_rows,
+    _columns,
+    _predict,
     feature_matrix,
     forward,
-    predict_rows,
     scope_boxes,
 )
 from .partition import Partition, route
@@ -93,8 +93,8 @@ class FitConfig:
             raise ValueError(f"unknown min_rows_policy {self.min_rows_policy!r}")
         if self.activation_scope not in ("subspace", "domain"):
             raise ValueError(f"unknown activation_scope {self.activation_scope!r}")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
     its start), builds each block's features in one call, each row in
     its own cell's box, and solves every cell with enough rows from its
     segments' Gram sums, in flat order. The second sweep predicts every
-    row with the row-local kernel local_forward uses, so the per-cell
-    SSEs and the training MSE come from one prediction array, and
-    forward() on the training data reproduces it bitwise. fit_seconds
+    row with the kernel forward() and local_forward() use, so the
+    per-cell SSEs and the training MSE come from one prediction array,
+    and forward() on the training data reproduces it bitwise. fit_seconds
     covers the whole call, from entry to the assembled model.
 
     Returns (PairNetModel, FitReport).
@@ -190,43 +190,30 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     groups = route(partition, dataset)
     order = np.concatenate(groups)
     bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
-    X, y = dataset.X[order], dataset.y[order]
+    X, y = np.take(dataset.X, order, axis=0), dataset.y[order]
     cell_of = np.repeat(np.arange(size), np.diff(bounds))
     boxes = scope_boxes(partition, config.activation_scope)
-    ends = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes])   # (M, n, 2)
-    lo, hi = ends[:, :, 0].T, ends[:, :, 1].T
+    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes]).T   # (n, M) each
+    boxes_alphas = (lo, hi, np.broadcast_to(probe.alphas[:, None], lo.shape))
 
     def features(start, stop):
         """Feature rows of sorted rows start..stop, each in its cell's box."""
         cells = cell_of[start:stop]
-        return feature_matrix(probe, X[start:stop], (_per_row(lo, cells), _per_row(hi, cells)))
+        return feature_matrix(probe, X[start:stop], [_columns(t, cells) for t in boxes_alphas])
 
-    params, means, diags = _solve_cells(features, y, bounds, partition, config)
-
-    pred_sorted = np.empty(len(y))
-    param_columns = params.T.copy()
-    step = block_rows(n)
-    for start in range(0, len(y), step):
-        stop = min(start + step, len(y))
-        pred_sorted[start:stop] = predict_rows(features(start, stop),
-                                               _per_row(param_columns, cell_of[start:stop]))
-    fallback_rows = np.array([mean is not None for mean in means])[cell_of]
-    fallback_means = np.array([0.0 if mean is None else mean for mean in means])
-    pred_sorted[fallback_rows] = fallback_means[cell_of[fallback_rows]]
+    params, fallback, diags = _solve_cells(features, y, bounds, partition, config)
+    pred_sorted = _predict(probe, (*boxes_alphas, params.T.copy(), fallback), X, cell_of)
     counts = np.diff(bounds)
-    filled = counts > 0
-    sse = np.zeros(size)
-    sse[filled] = np.add.reduceat((y - pred_sorted) ** 2, np.asarray(bounds[:-1])[filled])
+    sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
     pred = np.empty(len(y))
     pred[order] = pred_sorted
 
     locals_, cells = [], []
-    for j in range(size):
+    for j, diag in enumerate(diags):
         locals_.append(LocalPairNet(
-            n=n, alphas=probe.alphas, c=params[j, :m], gamma=params[j, m:],
-            subspace=boxes[j], activation=config.activation, fallback_mean=means[j],
+            n=n, alphas=probe.alphas, c=params[j, :m], gamma=params[j, m:], subspace=boxes[j],
+            activation=config.activation, fallback_mean=None if diag else float(fallback[0, j]),
         ))
-        diag = diags[j]
         if diag is None:
             cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), True, None, 0, None))
         else:
@@ -249,7 +236,8 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
 def _solve_cells(features, y, bounds, partition, config):
     """The first sweep, in flat cell order: each cell's parameters (one
-    row of an (M, 2^(n+1)) array) and solve record, or its fallback mean.
+    row of an (M, 2^(n+1)) array) and solve record, or its fallback mean
+    (a (1, M) array, NaN where the cell is solved).
 
     ``features(start, stop)`` gives the feature rows of the cell-sorted
     rows start..stop; ``bounds[j]:bounds[j + 1]`` are cell j's rows.
@@ -257,7 +245,7 @@ def _solve_cells(features, y, bounds, partition, config):
     n, size = partition.ndim, partition.size
     d, threshold = 2 ** (n + 1), min_rows_threshold(n)
     params = np.zeros((size, d))
-    means = [None] * size
+    fallback = np.full((1, size), np.nan)
     diags = [None] * size
     block_start = block_stop = 0
     for j in range(size):
@@ -268,7 +256,7 @@ def _solve_cells(features, y, bounds, partition, config):
                     f"{b - a} rows < {threshold} parameters (2^(n+1) with n={n})"
                 )
                 raise _cell_error(partition, j, exc) from exc
-            means[j] = float(np.mean(y[a:b])) if b > a else 0.0
+            fallback[0, j] = np.mean(y[a:b]) if b > a else 0.0
             continue
         G = np.zeros((d, d))
         r = np.zeros(d)
@@ -286,19 +274,11 @@ def _solve_cells(features, y, bounds, partition, config):
             params[j], diags[j] = solve_spd(DenseSystem(G, r), config.ridge)
         except Exception as exc:
             raise _cell_error(partition, j, exc) from exc
-    return params, means, diags
+    return params, fallback, diags
 
 
 def _cell_error(partition: Partition, j: int, exc: Exception) -> SubspaceFitError:
     return SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}")
-
-
-def _per_row(columns: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Each row's column of a per-cell table (k, M), as a (rows, k) view
-    in feature_matrix's layout; rows of one cell share that cell's column."""
-    if cells[0] == cells[-1]:
-        return columns[:, cells[0]]
-    return columns[:, cells].T
 
 
 def _mean_squared_error(y: np.ndarray, pred: np.ndarray) -> float:

@@ -1,11 +1,16 @@
 """Pair activations: complementary, monotone, endpoint-normalized."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairnet.activation import LINEAR, ActivationKind, pair_activation
+from pairnet.activation import LINEAR, ActivationKind, _logistic, pair_activation
 from pairnet.partition import Interval
 
 SIGMOID = ActivationKind("sigmoid")
@@ -19,6 +24,11 @@ class TestKinds:
 
     @pytest.mark.parametrize("s", [0.0, -1.0])
     def test_nonpositive_steepness_rejected(self, s):
+        with pytest.raises(ValueError, match="steepness"):
+            ActivationKind("sigmoid", s)
+
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_non_finite_steepness_rejected(self, s):
         with pytest.raises(ValueError, match="steepness"):
             ActivationKind("sigmoid", s)
 
@@ -77,3 +87,24 @@ def test_complementary_and_monotone(x1, x2, tag, steepness):
     assert g2 + bar2 == 1.0
     assert 0.0 <= g1 <= 1.0
     assert g1 <= g2
+
+
+class TestLogistic:
+    def test_matches_expit_over_a_wide_range(self):
+        """The tanh form agrees with scipy's expit to one unit of 1.0, and
+        never overflows."""
+        from scipy.special import expit
+
+        z = np.concatenate([np.linspace(-800.0, 800.0, 100001),
+                            [-1e308, -1e20, -0.0, 0.0, 1e20, 1e308, -np.inf, np.inf]])
+        with np.errstate(all="raise"):
+            got = _logistic(z)
+        np.testing.assert_allclose(got, expit(z), rtol=0, atol=np.finfo(float).eps)
+        assert got[-2:].tolist() == [0.0, 1.0]
+
+    def test_import_leaves_scipy_special_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, pairnet; sys.exit('scipy.special' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr or "pairnet imported scipy.special"

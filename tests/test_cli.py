@@ -125,6 +125,17 @@ class TestFitEval:
         assert not model_out.exists()
         assert not (tmp_path / "m.report.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--ridge", "inf"), ("--ridge", "nan"),
+                                            ("--steepness", "inf")])
+    def test_non_finite_knob_is_usage_error(self, small_csv, tmp_path, capsys, flag, value):
+        model_out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--data", small_csv, "--partition", "2,2,2", "--alphas", "0.1,0.1,0.8",
+                  "--model-out", str(model_out), "--activation", "sigmoid", flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not model_out.exists()
+
     def test_partition_dim_mismatch(self, small_csv, tmp_path):
         assert main(["fit", "--data", small_csv, "--partition", "2,2",
                      "--alphas", "0.5,0.5", "--model-out", str(tmp_path / "m.json")]) == 2

@@ -29,25 +29,7 @@ from pairnet.model import (
     local_forward,
 )
 from pairnet.partition import Interval, locate_many, uniform_partition
-
-
-def naive_forward(local, x):
-    """Literal transcription of the four-layer pipeline, scalars and loops."""
-    n = local.n
-    g = [pair_activation(float(x[i]), local.subspace[i], local.activation)[0]
-         for i in range(n)]
-    y = 0.0
-    for k in range(2**n):
-        w_k = 0.0
-        for i in range(n):
-            bit = (k >> (n - 1 - i)) & 1
-            w_k += local.alphas[i] * ((1.0 - g[i]) if bit else g[i])
-        w_k = min(max(w_k, 0.0), 1.0)
-        beta_k = w_k / 2.0 ** (n - 1)
-        theta_k = (1.0 - w_k) / 2.0
-        ybar_k = local.c[k] + theta_k * local.gamma[k]
-        y += beta_k * ybar_k
-    return y
+from reference_forward import naive_forward, naive_local_forward
 
 
 class TestLayer2Weights:
@@ -128,6 +110,8 @@ class TestLocalPairNet:
             dataclasses.replace(good, subspace=(Interval(0, 1),))
         with pytest.raises(ValueError, match="unsupported"):
             make_local(n=MAX_DIM + 1)
+        with pytest.raises(ValueError, match="fallback_mean must be finite"):
+            dataclasses.replace(good, fallback_mean=float("nan"))
 
     def test_params_stacking(self, make_local):
         local = make_local(n=2)
@@ -154,13 +138,13 @@ class TestFeaturesAndForward:
         local = make_local(n=n, seed=n + 10)
         X = sample_box(local.subspace, 25, seed=n)
         out = local_forward(local, X)
-        naive = [naive_forward(local, x) for x in X]
+        naive = [naive_local_forward(local, x) for x in X]
         np.testing.assert_allclose(out, naive, rtol=1e-12, atol=1e-12)
 
     def test_sigmoid_kind_also_transcribes(self, make_local):
         local = make_local(n=2, seed=3, activation=ActivationKind("sigmoid", 6.0))
         X = sample_box(local.subspace, 25, seed=9)
-        naive = [naive_forward(local, x) for x in X]
+        naive = [naive_local_forward(local, x) for x in X]
         np.testing.assert_allclose(local_forward(local, X), naive, rtol=1e-12, atol=1e-12)
 
     def test_batch_equals_scalar(self, make_local):
@@ -301,3 +285,81 @@ class TestPairNetModel:
         assert a == b
         c = self._model(seed=10)
         assert a != c
+
+    def test_mixed_activations_rejected(self):
+        """One activation per model: save_model writes local 0's for every
+        cell, so a mixed model would reload as a different model."""
+        model = self._model()
+        locs = list(model.locals)
+        locs[2] = dataclasses.replace(locs[2], activation=ActivationKind("sigmoid"))
+        with pytest.raises(ValueError, match=r"local 2: activation .* differs from local 0's"):
+            PairNetModel(partition=model.partition, locals=tuple(locs))
+
+    def test_equality_compares_every_cell(self):
+        a = self._model(seed=9)
+        same = PairNetModel(partition=a.partition, locals=tuple(
+            dataclasses.replace(loc, c=loc.c.copy()) for loc in a.locals))
+        assert a == same
+        for change in ({"gamma": a.locals[3].gamma + 1e-12}, {"fallback_mean": 0.5},
+                       {"alphas": a.locals[3].alphas[::-1]}):
+            locs = a.locals[:3] + (dataclasses.replace(a.locals[3], **change),)
+            assert a != PairNetModel(partition=a.partition, locals=locs), change
+
+
+def _reference_case_model(gen, n, counts, scope, tag):
+    """A model with per-cell alphas, some fallback cells and random
+    parameters, on a random box."""
+    box = tuple(Interval(float(i), float(i) + gen.uniform(0.5, 3.0)) for i in range(n))
+    part = uniform_partition(box, counts)
+    kind = ActivationKind(tag, gen.uniform(1.0, 8.0))
+    locs = []
+    for j in range(part.size):
+        locs.append(LocalPairNet(
+            n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+            gamma=gen.normal(size=2**n),
+            subspace=part.cell(j) if scope == "subspace" else part.domain, activation=kind,
+            fallback_mean=float(gen.normal()) if gen.uniform() < 0.25 else None,
+        ))
+    return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope)
+
+
+class TestForwardMatchesReference:
+    """forward() and local_forward() share one kernel with fit, so they
+    are checked against the plain per-row transcription in
+    tests/reference_forward.py instead of against each other."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 10**6),
+           scope=st.sampled_from(["subspace", "domain"]),
+           tag=st.sampled_from(["linear", "sigmoid"]))
+    def test_forward_matches_reference(self, n, seed, scope, tag):
+        gen = np.random.default_rng(seed)
+        counts = tuple(int(m) for m in gen.integers(1, 4, size=n))
+        model = _reference_case_model(gen, n, counts, scope, tag)
+        part = model.partition
+        lo = np.array([e[0] for e in part.edges])
+        hi = np.array([e[-1] for e in part.edges])
+        # A crowd in cell 0 spans evaluation blocks; the spread rows land in
+        # many cells (some stay empty); some rows lie outside the domain or
+        # on breakpoints.
+        first_hi = np.array([e[1] for e in part.edges])
+        crowd = gen.uniform(lo, first_hi, size=(block_rows(n) + 37, n))
+        spread = gen.uniform(lo, hi, size=(300, n))
+        outside = gen.uniform(lo - 2.0, hi + 2.0, size=(40, n))
+        on_edges = np.array([[gen.choice(e) for e in part.edges] for _ in range(20)])
+        X = gen.permutation(np.vstack([crowd, spread, outside, on_edges]))
+        want = np.array([naive_forward(model, x) for x in X])
+        np.testing.assert_allclose(forward(model, X), want, rtol=1e-12, atol=1e-12)
+        for i in gen.choice(len(X), size=10, replace=False):
+            assert forward(model, X[i]) == pytest.approx(want[i], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("tag", ["linear", "sigmoid"])
+    def test_local_forward_matches_reference(self, tag):
+        gen = np.random.default_rng(17)
+        model = _reference_case_model(gen, 3, (1, 1, 1), "subspace", tag)
+        local = dataclasses.replace(model.locals[0], fallback_mean=None)
+        box = local.subspace
+        X = np.column_stack([gen.uniform(iv.lo - 0.5, iv.hi + 0.5, block_rows(3) + 99)
+                             for iv in box])
+        want = [naive_local_forward(local, x) for x in X]
+        np.testing.assert_allclose(local_forward(local, X), want, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,7 @@
 """Model files: exact JSON round trips and strict, all-or-nothing loading."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ class TestRoundTrip:
         assert back == model
         assert back.locals[0].activation == kind
         assert back.activation_scope == "domain"
+
+    def test_prediction_tables_are_built_on_first_prediction(self, fitted_model, tmp_path):
+        """Constructing, saving and loading a model build no prediction
+        tables; the first forward() does, once."""
+        model, ds = fitted_model
+        fresh, _ = fit(ds, model.partition, FitConfig(alphas=(0.1, 0.1, 0.8)))
+        path = tmp_path / "m.json"
+        save_model(fresh, path)
+        back = load_model(path)
+        assert "_tables" not in vars(fresh) and "_tables" not in vars(back)
+        forward(back, ds.X[:5])
+        tables = vars(back)["_tables"]
+        forward(back, ds.X)
+        assert vars(back)["_tables"] is tables
 
     def test_provenance_round_trips(self, fitted_model, tmp_path):
         import dataclasses
@@ -238,6 +253,29 @@ class TestStrictLoading:
         doc["partition_edges"][0] = sorted(doc["partition_edges"][0], reverse=True)
         _dump(saved, doc)
         with pytest.raises(ModelFormatError, match="partition_edges"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("keys,value,field", [
+        (("locals", 1, "c", 3), np.nan, "locals[1].c[3]"),
+        (("locals", 0, "gamma", 0), np.inf, "locals[0].gamma[0]"),
+        (("locals", 2, "alphas", 1), np.nan, "locals[2].alphas[1]"),
+        (("locals", 1, "fallback_mean"), -np.inf, "locals[1].fallback_mean"),
+        (("partition_edges", 1, 1), np.nan, "partition_edges[1][1]"),
+        (("locals", 3, "c", 0), 10**400, "locals[3].c[0]"),
+    ])
+    def test_non_finite_number_rejected(self, saved, keys, value, field):
+        """JSON's NaN and Infinity literals parse as floats, and an integer
+        past the float range has no float value; the loader refuses them
+        and names the field."""
+        doc = _doc(saved)
+        if keys[-1] == "fallback_mean":
+            del doc["locals"][1]["c"], doc["locals"][1]["gamma"]
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        saved.write_text(json.dumps(doc))  # NaN, Infinity or a 401-digit integer
+        with pytest.raises(ModelFormatError, match=rf"{re.escape(field)} must be finite"):
             load_model(saved)
 
     def test_bad_scope(self, saved):

@@ -35,6 +35,12 @@ class TestConfig:
             SelectionConfig(candidates=1, holdout_fraction=0.0)
 
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            SelectionConfig(candidates=1, ridge=ridge)
+
+
 class TestSimplexSampling:
     def test_valid_draws(self, rng):
         for n in (1, 2, 3, 7):

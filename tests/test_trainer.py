@@ -51,6 +51,11 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="ridge"):
             FitConfig(alphas=(1.0,), ridge=-0.1)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite"):
+            FitConfig(alphas=(1.0,), ridge=ridge)
+
     def test_alphas_coerced_to_floats(self):
         cfg = FitConfig(alphas=np.array([0.25, 0.75]))
         assert cfg.alphas == (0.25, 0.75)
