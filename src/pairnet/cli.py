@@ -394,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steepness", type=_finite_float, default=4.0,
                        help="sigmoid steepness (ignored for linear)")
         p.add_argument("--ridge", type=_finite_float, default=None,
-                       help="fixed ridge; default is the solver's auto floor")
+                       help="fixed ridge; default is each cell's floor, 1e-10 * trace/2^(n+1)")
         p.add_argument("--min-rows-policy", default="fallback_mean",
                        choices=("fallback_mean", "error"))
         p.add_argument("--scope", default="subspace", choices=("subspace", "domain"),
@@ -441,8 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp-seeds", type=int, default=5, help="table 1: MLP restarts")
     p.add_argument("--mlp-width", type=int, default=16, help="table 1: hidden layer width")
     p.add_argument("--mlp-depth", type=int, default=20, help="table 1: hidden layer count")
-    p.add_argument("--mlp-lr", type=float, default=1e-3, help="table 1: learning rate")
-    p.add_argument("--mlp-momentum", type=float, default=0.9)
+    p.add_argument("--mlp-lr", type=_finite_float, default=1e-3, help="table 1: learning rate")
+    p.add_argument("--mlp-momentum", type=_finite_float, default=0.9)
     p.add_argument("--mlp-batch", type=int, default=64, help="table 1: minibatch size")
     p.add_argument("--mlp-optimizer", default="momentum", choices=("momentum", "sgd"))
     p.set_defaults(func=_cmd_bench)

@@ -1,11 +1,12 @@
 """Cholesky solver for the small symmetric systems of the normal equations.
 
-The Gram matrices produced by the trainer are positive semidefinite and,
-for this model family, rank-deficient by construction (complementary
-fusion terms duplicate feature columns), so a ridge fallback is not an
-edge case but the normal path: when Cholesky hits a non-positive pivot
-the ridge escalates tenfold from a floor of 1e-10 * trace/d up to
-1e-4 * trace/d before giving up.
+The trainer solves each cell in its quadratic basis, whose d x d Gram
+is positive definite once the cell's rows determine the quadratic: the
+null space of the full 2^(n+1)-wide features never reaches this solver.
+A Gram can still be singular (rows that repeat or lie on a lower-degree
+surface) or numerically so, and then the ridge escalates: when Cholesky
+hits a non-positive pivot the ridge rises tenfold from a floor of
+1e-10 * trace/d up to 1e-4 * trace/d before giving up.
 """
 
 from __future__ import annotations

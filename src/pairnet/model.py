@@ -123,6 +123,7 @@ class LocalPairNet:
     (the cell itself, or the whole domain for domain-scoped fits). When
     ``fallback_mean`` is set the cell had too few rows and the model is
     the constant predictor at that value; c and gamma are then inert.
+    ``alphas``, ``c`` and ``gamma`` are stored as read-only copies.
     """
 
     n: int
@@ -135,9 +136,13 @@ class LocalPairNet:
 
     def __post_init__(self):
         _check_dim(self.n)
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=np.float64))
+        # Read-only copies: a model caches its prediction tables from its
+        # locals, so an in-place edit would go unseen; edit with
+        # dataclasses.replace instead.
+        for name in ("alphas", "c", "gamma"):
+            value = np.array(getattr(self, name), dtype=np.float64)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.alphas.shape != (self.n,):
             raise ValueError(f"alphas must have shape ({self.n},), got {self.alphas.shape}")
         _check_alphas(self.alphas)
@@ -194,6 +199,42 @@ def feature_matrix(local: LocalPairNet, X: np.ndarray, rows=None) -> np.ndarray:
         theta *= 0.5
         np.multiply(b, theta, out=phi[m:, cols])
     return phi.T
+
+
+def _quadratic_map(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, S): the closed-form map from the quadratic basis to the features.
+
+    Within its box a cell's features are quadratic in its activations g:
+    feature_matrix = _quadratic_basis(g[S], alphas[S]) @ T, where S is the
+    support of the alphas (the inputs with alpha_i > 0) and T has
+    d = 2 + s(s+1)/2 rows, s = len(S), and rank d. Term k has selector
+    bits b_i (bit i of k, dimension 0 the most significant), signs
+    sigma_i = 1 - 2 b_i and offset a_k = sum_i alpha_i b_i, so
+    w_k = a_k + sum_i alpha_i sigma_i g_i; its beta column is
+    [a_k, alpha_i sigma_i, 0, 0] / 2^(n-1) and its beta * theta column,
+    beta * theta = w_k (1 - w_k) / 2^n, is
+    [a_k - a_k^2, alpha_i sigma_i (1 - 2 a_k), -2 alpha_i alpha_j sigma_i sigma_j, -1] / 2^n.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    n = len(alphas)
+    support = np.flatnonzero(alphas > 0.0)
+    bits = (np.arange(2**n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1   # (n, 2^n)
+    offset = alphas @ bits
+    slope = alphas[support, None] * (1.0 - 2.0 * bits[support])   # (s, 2^n)
+    i, j = np.triu_indices(len(support), 1)
+    beta = np.vstack([offset, slope, np.zeros((len(i) + 1, 2**n))]) / 2.0 ** (n - 1)
+    beta_theta = np.vstack([offset - offset**2, slope * (1.0 - 2.0 * offset),
+                            -2.0 * slope[i] * slope[j], np.full(2**n, -1.0)]) / 2.0**n
+    return np.hstack([beta, beta_theta]), support
+
+
+def _quadratic_basis(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Basis rows (N, 2 + s(s+1)/2) of activations g (s, N) on the
+    support, with the support's alphas (s,): [1, g_i, g_i g_j (i < j),
+    sum_i alpha_i^2 g_i^2], in _quadratic_map's row order."""
+    i, j = np.triu_indices(len(g), 1)
+    squares = (alphas[:, None] ** 2 * g**2).sum(axis=0)
+    return np.vstack([np.ones(g.shape[1]), g, g[i] * g[j], squares]).T
 
 
 def block_rows(n: int) -> int:

@@ -176,7 +176,7 @@ def _parse_local(raw, j: int, box, activation: ActivationKind, n: int, path) -> 
         gamma = _as_float_list(_require(raw, "gamma", path), f"{field}.gamma", path)
     try:
         return LocalPairNet(
-            n=n, alphas=np.asarray(alphas), c=np.asarray(c), gamma=np.asarray(gamma),
+            n=n, alphas=alphas, c=c, gamma=gamma,
             subspace=box, activation=activation, fallback_mean=fallback,
         )
     except ValueError as exc:

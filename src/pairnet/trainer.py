@@ -1,18 +1,26 @@
 """One-shot closed-form fitting of a pairwise network per partition cell.
 
-For each cell the quadratic objective Q = 1/2 * sum (y - phi . p)^2 over
-the cell's rows is minimized by solving its normal equations G p = r,
-with G = sum phi phi^T and r = sum phi y over the cell's rows. fit
-routes the rows once, sorts them by cell and makes two blocked sweeps
-over the sorted rows, so features exist one block at a time (bounded
-memory regardless of data size). The first sweep builds each block's
-features in one call, each row in its own cell's box, adds each cell's
-segment into that cell's G and r, and hands every cell with enough rows
-to the Cholesky solver. Cells with fewer than 2^(n+1) rows cannot
-determine the parameters; depending on policy they either raise or fall
-back to a constant predictor at the target mean. The second sweep
-predicts every row with the prediction kernel forward() uses, and every
-training error in the report is read from those predictions.
+For each cell the ridge objective sum (y - phi . p)^2 + ridge * |p|^2
+over the cell's rows is minimized by one linear solve. The 2^(n+1)
+features phi are a quadratic in the activations: phi = B T, with B the
+d = 2 + s(s+1)/2 basis columns of model._quadratic_basis (s inputs with
+a positive alpha) and T the closed-form map of model._quadratic_map,
+of rank d. With T^T = Q R (Q's columns orthonormal), phi = C Q^T for
+the reduced rows C = B R^T, and the ridge solution, which lies in T's
+row space, is p = Q v with (C^T C + ridge I) v = C^T y: the same
+problem, solved exactly in d unknowns instead of 2^(n+1).
+
+fit routes the rows once, sorts them by cell and makes two blocked
+sweeps over the sorted rows, so rows are expanded one block at a time
+(bounded memory regardless of data size). The first sweep builds each
+block's reduced rows, each row in its own cell's box, adds each cell's
+segment into that cell's C^T C and C^T y, and hands every cell with
+enough rows to the Cholesky solver. Cells with fewer than 2^(n+1) rows
+do not determine the parameters; depending on policy they either raise
+or fall back to a constant predictor at the target mean. The second
+sweep predicts every row from (c, gamma) with the prediction kernel
+forward() uses, and every training error in the report is read from
+those predictions.
 """
 
 from __future__ import annotations
@@ -24,15 +32,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .activation import ActivationKind, LINEAR
+from .activation import LINEAR, ActivationKind, activate
 from .datasets import Dataset
-from .linsolve import DenseSystem, solve_spd
+from .linsolve import DenseSystem, auto_ridge, solve_spd
 from .model import (
     LocalPairNet,
     PairNetModel,
     _columns,
     _predict,
-    feature_matrix,
+    _quadratic_basis,
+    _quadratic_map,
+    feature_matrix,  # noqa: F401 - perfbench/tracing.py rebinds it here
     forward,
     scope_boxes,
 )
@@ -73,9 +83,13 @@ def min_rows_threshold(n: int) -> int:
 class FitConfig:
     """How to fit: fusion weights, activation, regularization, policies.
 
-    ridge=None uses the solver's auto floor; 0.0 requests the plain
-    normal equations (the solver still escalates if they are singular,
-    which for this model family they typically are).
+    ridge=None uses the floor 1e-10 * trace(phi^T phi) / 2^(n+1) of the
+    cell's full features phi; 0.0 requests plain least squares, its
+    minimum-norm solution, since the 2^(n+1) features span only
+    d = 2 + s(s+1)/2 dimensions (s inputs with a positive alpha). Each
+    cell is solved in that d-dimensional basis, where the solver
+    escalates the ridge only if the d x d system is singular, as it is
+    for a cell whose rows do not determine the quadratic.
     activation_scope chooses what the Layer-1 activations normalize
     over: each cell ("subspace", the default) or the whole partition
     domain ("domain", which makes refinements exactly nested).
@@ -99,7 +113,12 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class SubspaceFit:
-    """Per-cell solve record."""
+    """Per-cell solve record.
+
+    residual is the norm of the solved d x d system's residual, which
+    equals that of the full normal equations (G + ridge I) p - r because
+    Q's columns are orthonormal.
+    """
 
     index: int
     n_rows: int
@@ -196,12 +215,21 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes]).T   # (n, M) each
     boxes_alphas = (lo, hi, np.broadcast_to(probe.alphas[:, None], lo.shape))
 
-    def features(start, stop):
-        """Feature rows of sorted rows start..stop, each in its cell's box."""
-        cells = cell_of[start:stop]
-        return feature_matrix(probe, X[start:stop], [_columns(t, cells) for t in boxes_alphas])
+    # Cells are solved in the reduced rows C = B R^T and lifted by Q
+    # (see the module docstring).
+    T, support = _quadratic_map(probe.alphas)
+    Q, R = np.linalg.qr(T.T)
+    support_lo, support_hi, support_alphas = lo[support], hi[support], probe.alphas[support]
 
-    params, fallback, diags = _solve_cells(features, y, bounds, partition, config)
+    def reduced(start, stop):
+        """Reduced rows C of sorted rows start..stop, each in its cell's box."""
+        cells = cell_of[start:stop]
+        g = activate(X[start:stop, support].T, _columns(support_lo, cells).T,
+                     _columns(support_hi, cells).T, config.activation)
+        return _quadratic_basis(g, support_alphas) @ R.T
+
+    coords, fallback, diags = _solve_cells(reduced, len(T), y, bounds, partition, config)
+    params = coords @ Q.T
     pred_sorted = _predict(probe, (*boxes_alphas, params.T.copy(), fallback), X, cell_of)
     counts = np.diff(bounds)
     sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
@@ -234,17 +262,20 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     return model, tuple(cells), _mean_squared_error(dataset.y, pred)
 
 
-def _solve_cells(features, y, bounds, partition, config):
-    """The first sweep, in flat cell order: each cell's parameters (one
-    row of an (M, 2^(n+1)) array) and solve record, or its fallback mean
-    (a (1, M) array, NaN where the cell is solved).
+def _solve_cells(reduced, d, y, bounds, partition, config):
+    """The first sweep, in flat cell order: each cell's reduced
+    coordinates (one row of an (M, d) array) and solve record, or its
+    fallback mean (a (1, M) array, NaN where the cell is solved).
 
-    ``features(start, stop)`` gives the feature rows of the cell-sorted
-    rows start..stop; ``bounds[j]:bounds[j + 1]`` are cell j's rows.
+    ``reduced(start, stop)`` gives the d-wide reduced rows of the
+    cell-sorted rows start..stop; ``bounds[j]:bounds[j + 1]`` are cell j's rows.
+    Every solve uses the caller's ridge or, for ridge=None, the floor of
+    the full 2^(n+1)-wide system, 1e-10 * trace(phi^T phi) / 2^(n+1):
+    Q's columns are orthonormal, so that trace is the reduced Gram's.
     """
     n, size = partition.ndim, partition.size
-    d, threshold = 2 ** (n + 1), min_rows_threshold(n)
-    params = np.zeros((size, d))
+    threshold = min_rows_threshold(n)
+    coords = np.zeros((size, d))
     fallback = np.full((1, size), np.nan)
     diags = [None] * size
     block_start = block_stop = 0
@@ -266,15 +297,18 @@ def _solve_cells(features, y, bounds, partition, config):
                 # A new block: this chunk, then whole cells up to _GRAM_ROWS rows.
                 reach = bounds[bisect.bisect_right(bounds, start + _GRAM_ROWS) - 1]
                 block_start, block_stop = start, max(stop, reach)
-                phi_block = features(block_start, block_stop)
-            phi = phi_block[start - block_start:stop - block_start]
-            G += phi.T @ phi
-            r += phi.T @ y[start:stop]
+                c_block = reduced(block_start, block_stop)
+            c = c_block[start - block_start:stop - block_start]
+            G += c.T @ c
+            r += c.T @ y[start:stop]
+        ridge = config.ridge
+        if ridge is None:
+            ridge = auto_ridge(G) * d / 2 ** (n + 1)
         try:
-            params[j], diags[j] = solve_spd(DenseSystem(G, r), config.ridge)
+            coords[j], diags[j] = solve_spd(DenseSystem(G, r), ridge)
         except Exception as exc:
             raise _cell_error(partition, j, exc) from exc
-    return params, fallback, diags
+    return coords, fallback, diags
 
 
 def _cell_error(partition: Partition, j: int, exc: Exception) -> SubspaceFitError:

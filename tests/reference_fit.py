@@ -3,9 +3,11 @@
 This is the fit as pairnet wrote it before the blocked sweeps: route the
 rows once, then cell by cell build the cell's features, sum its normal
 equations in 4096-row chunks from the cell's first row, solve them with
-solve_spd, and predict the cell's rows with local_forward. The fast path
-in trainer.fit must reproduce its fallbacks, errors, parameters, SSEs
-and training MSE.
+solve_spd, and predict the cell's rows with local_forward. Under
+ridge=0.0 a cell is instead the minimum-norm least-squares fit of its
+full features (np.linalg.lstsq), the plain least squares FitConfig
+promises. trainer.fit must reproduce its fallbacks, errors, SSEs and
+training MSE within the reference's own rounding noise.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pairnet.linsolve import DenseSystem, solve_spd
+from pairnet.linsolve import DenseSystem, SolveDiagnostics, residual_norm, solve_spd
 from pairnet.model import LocalPairNet, PairNetModel, feature_matrix, local_forward
 from pairnet.partition import route
 from pairnet.trainer import (
@@ -48,7 +50,11 @@ def _solve_cell(X, y, box, config):
         phi = feature_matrix(probe, X[start:start + _CHUNK_ROWS])
         G += phi.T @ phi
         r += phi.T @ y[start:start + _CHUNK_ROWS]
-    p, diag = solve_spd(DenseSystem(G, r), config.ridge)
+    if config.ridge == 0.0:
+        p = np.linalg.lstsq(feature_matrix(probe, X), y, rcond=None)[0]
+        diag = SolveDiagnostics(ridge=0.0, escalations=0, residual=residual_norm(G, p, r))
+    else:
+        p, diag = solve_spd(DenseSystem(G, r), config.ridge)
     return replace(probe, c=p[:2**n], gamma=p[2**n:]), diag
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairnet import trainer
+from pairnet import model, trainer
 from pairnet.datasets import Dataset
 from pairnet.partition import Interval, uniform_partition
 
@@ -37,16 +37,19 @@ def test_every_traced_pairnet_name_resolves():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counting wrappers around the names fit looks up in trainer."""
+    """Counting wrappers around the names the tracer rebinds for fit:
+    route and solve_spd in trainer, feature_matrix in trainer and model."""
     seen = {"route": [], "feature_matrix": [], "solve_spd": []}
-    for name, log in seen.items():
-        original = getattr(trainer, name)
+    bindings = [(trainer, "route"), (trainer, "solve_spd"),
+                (trainer, "feature_matrix"), (model, "feature_matrix")]
+    for module, name in bindings:
+        original = getattr(module, name)
 
-        def counted(*args, _original=original, _log=log, **kwargs):
+        def counted(*args, _original=original, _log=seen[name], **kwargs):
             _log.append(args)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return seen
 
 
@@ -61,8 +64,9 @@ def test_fit_calls_the_traced_layers(calls):
     assert solved > 0
     assert len(calls["route"]) == 1
     assert len(calls["solve_spd"]) == solved
-    # The tracer counts feature rows from the second argument: every
-    # training row is featurized at most twice (the Gram sweep and the
-    # prediction sweep).
+    # Each cell is solved in the quadratic basis: 2 + s(s+1)/2 with s = 3.
+    assert all(args[0].G.shape == (8, 8) for args in calls["solve_spd"])
+    # The tracer counts feature rows from the second argument, through
+    # both bindings: every training row is featurized at most twice.
     rows = sum(len(args[1]) for args in calls["feature_matrix"])
     assert calls["feature_matrix"] and rows <= 2 * len(dataset)

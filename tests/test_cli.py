@@ -220,6 +220,15 @@ class TestBench:
         assert lines[2].startswith("mlp,f2,")
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,value", [("--mlp-lr", "nan"), ("--mlp-momentum", "inf")])
+    def test_non_finite_mlp_knob_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--table", "1", "--functions", "f2", "--epochs", "2",
+                  "--out", str(tmp_path), flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
     def test_speed_table_rejects_zero_candidates(self, tmp_path):
         assert main(["bench", "--table", "1", "--functions", "f2",
                      "--candidates", "0", "--out", str(tmp_path)]) == 2

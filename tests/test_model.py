@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_box
-from pairnet.activation import LINEAR, ActivationKind, pair_activation
+from pairnet.activation import LINEAR, ActivationKind, activate, pair_activation
 from pairnet.model import (
     MAX_DIM,
     LocalPairNet,
     PairNetModel,
+    _quadratic_basis,
+    _quadratic_map,
     betas,
     block_rows,
     feature_matrix,
@@ -116,6 +118,15 @@ class TestLocalPairNet:
     def test_params_stacking(self, make_local):
         local = make_local(n=2)
         np.testing.assert_array_equal(local.params, np.concatenate([local.c, local.gamma]))
+
+    def test_arrays_are_read_only_copies(self, make_local):
+        c = np.zeros(4)
+        local = dataclasses.replace(make_local(n=2), c=c)
+        c[0] = 5.0
+        assert local.c[0] == 0.0
+        for name in ("alphas", "c", "gamma"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(local, name)[0] = 1.0
 
 
 class TestFeaturesAndForward:
@@ -221,6 +232,21 @@ class TestPairNetModel:
             ))
         return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope)
 
+    def test_locals_cannot_change_under_a_cached_model(self):
+        """A model caches its tables on its first prediction; its locals
+        cannot be edited in place, and dataclasses.replace gives a new
+        model that predicts from the new parameters."""
+        model = self._model()
+        x = np.array([0.5, -0.5])  # cell (0, 0)
+        before = forward(model, x)
+        with pytest.raises(ValueError, match="read-only"):
+            model.locals[0].c[:] += 100.0
+        shifted = dataclasses.replace(model.locals[0], c=model.locals[0].c + 100.0)
+        edited = dataclasses.replace(model, locals=(shifted, *model.locals[1:]))
+        assert forward(model, x) == before
+        # The betas sum to 1, so shifting every c shifts the output.
+        assert forward(edited, x) == pytest.approx(before + 100.0)
+
     def test_forward_routes_to_owning_cell(self):
         model = self._model()
         x = np.array([0.5, -0.5])  # cell (0, 0)
@@ -304,6 +330,43 @@ class TestPairNetModel:
                        {"alphas": a.locals[3].alphas[::-1]}):
             locs = a.locals[:3] + (dataclasses.replace(a.locals[3], **change),)
             assert a != PairNetModel(partition=a.partition, locals=locs), change
+
+
+# (n, alpha_0): alpha_0 None draws every alpha from a flat Dirichlet;
+# otherwise alpha_0 is set (0.0 puts it on a face of the simplex) and the
+# rest are rescaled to sum to 1 - alpha_0.
+_MAP_CASES = [(n, None) for n in range(1, 11)] + [
+    (n, a0) for n in range(2, 11) for a0 in (0.0, 1e-12)]
+
+
+class TestQuadraticBasis:
+    """The closed-form map T from the quadratic basis to the features."""
+
+    @pytest.mark.parametrize("tag", ["linear", "sigmoid"])
+    @pytest.mark.parametrize("n,a0", _MAP_CASES)
+    def test_map_reproduces_the_features(self, n, a0, tag):
+        gen = np.random.default_rng(n)
+        alphas = gen.dirichlet(np.ones(n))
+        if a0 is not None:
+            alphas[1:] *= (1.0 - a0) / alphas[1:].sum()
+            alphas[0] = a0
+        box = tuple(Interval(-1.0, 1.0 + i) for i in range(n))
+        local = LocalPairNet(n=n, alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n),
+                             subspace=box, activation=ActivationKind(tag))
+        lo, hi = np.array([(iv.lo, iv.hi) for iv in box]).T
+        # A margin around the box puts rows outside it, where g saturates.
+        X = gen.uniform(lo - 1.0, hi + 1.0, size=(300, n))
+        T, support = _quadratic_map(alphas)
+        assert support.tolist() == [i for i in range(n) if alphas[i] > 0]
+        s = len(support)
+        d = 2 + s * (s + 1) // 2
+        assert T.shape == (d, 2 ** (n + 1))
+        # Scaling T's rows to unit norm keeps its rank, and keeps a tiny
+        # alpha from reading as rank-deficient.
+        assert np.linalg.matrix_rank(T / np.linalg.norm(T, axis=1, keepdims=True)) == d
+        g = activate(X.T[support], lo[support, None], hi[support, None], ActivationKind(tag))
+        np.testing.assert_allclose(_quadratic_basis(g, alphas[support]) @ T,
+                                   feature_matrix(local, X), rtol=0, atol=1e-15)
 
 
 def _reference_case_model(gen, n, counts, scope, tag):

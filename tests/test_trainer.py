@@ -12,8 +12,14 @@ from reference_fit import reference_fit
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.linsolve import DenseSystem, solve_spd
-from pairnet.model import feature_matrix, feature_row, local_forward
-from pairnet.partition import Interval, Partition, random_partition, uniform_partition
+from pairnet.model import _quadratic_map, feature_matrix, feature_row, local_forward
+from pairnet.partition import (
+    Interval,
+    Partition,
+    random_partition,
+    route,
+    uniform_partition,
+)
 from pairnet.trainer import (
     FitConfig,
     InsufficientDataError,
@@ -236,22 +242,94 @@ def _outcome(dataset, partition, config, fitter):
         return exc
 
 
-class TestMatchesPerCellReference:
-    """fit's blocked sweeps against the plain per-cell fit in
-    tests/reference_fit.py."""
+# fit and the reference solve the same cells by different arithmetic, so
+# their SSEs agree only to the reference's own rounding noise. Fitting
+# the reference on permuted rows moved a cell's SSE by up to 1.0e-7 of
+# the cell's sum of y^2, and the training MSE by up to 7.3e-8 relative,
+# over 9,400 random cases of test_fit_matches_reference's kind (the
+# worst ones domain-scoped cells that see a sliver of the domain box).
+_SSE_TOL = 1e-6    # of the cell's sum of y^2
+_MSE_RTOL = 1e-6
 
-    def _assert_same_fit(self, fast, ref, dataset):
+
+def _row_space(alphas):
+    """Orthonormal rows spanning T's row space, from an SVD of T with its
+    rows scaled to unit norm (which keeps the space and its rank)."""
+    T = _quadratic_map(np.asarray(alphas))[0]
+    return np.linalg.svd(T / np.linalg.norm(T, axis=1, keepdims=True),
+                         full_matrices=False)[2]
+
+
+def assert_solves_full_system(local, X, y, ridge):
+    """The parameters solve the full 2^(n+1)-wide ridge normal equations
+    (G + ridge I) p = r to a normwise backward error of 1e-13, and lie in
+    T's row space to 1e-12 relative."""
+    phi = feature_matrix(local, X)
+    A = phi.T @ phi + ridge * np.eye(phi.shape[1])
+    r = phi.T @ y
+    p = local.params
+    backward = np.linalg.norm(A @ p - r) / (np.linalg.norm(A, 2) * np.linalg.norm(p)
+                                            + np.linalg.norm(r))
+    assert backward <= 1e-13
+    V = _row_space(local.alphas)
+    assert np.linalg.norm(p - V.T @ (V @ p)) <= 1e-12 * np.linalg.norm(p)
+
+
+class TestSolvesTheFullSystem:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 10**6),
+           a0=st.sampled_from([None, 0.0, 1e-12]),
+           tag=st.sampled_from(["linear", "sigmoid"]),
+           scope=st.sampled_from(["subspace", "domain"]),
+           ridge=st.sampled_from([None, 0.0, 1e-3]))
+    def test_parameters_solve_the_full_ridge_system(self, n, seed, a0, tag, scope, ridge):
+        """Each solved cell's (c, gamma), fit in the quadratic basis,
+        solves the full features' ridge normal equations and lies in T's
+        row space, also with an alpha on or near a face of the simplex."""
+        gen = np.random.default_rng(seed)
+        alphas = gen.dirichlet(np.ones(n))
+        if a0 is not None and n > 1:
+            alphas[1:] *= (1.0 - a0) / alphas[1:].sum()
+            alphas[0] = a0
+        domain = tuple(Interval(-1.0 - i, 2.0 + gen.uniform(0.0, 3.0)) for i in range(n))
+        partition = random_partition(domain, (1, 2), gen)
+        rows = int(gen.integers(1, 8 * 2 ** (n + 1) * partition.size))
+        X = np.column_stack([gen.uniform(iv.lo, iv.hi, rows) for iv in domain])
+        y = np.cos(X.sum(axis=1)) * X[:, 0] + 0.1 * gen.normal(size=rows)
+        dataset = Dataset(X, y, domain)
+        config = FitConfig(alphas=alphas, activation=ActivationKind(tag), ridge=ridge,
+                           activation_scope=scope)
+        model, report = fit(dataset, partition, config)
+        for cell_rows, local, cell in zip(route(partition, dataset), model.locals,
+                                          report.subspaces):
+            if not cell.fallback:
+                assert_solves_full_system(local, X[cell_rows], y[cell_rows], cell.ridge)
+
+
+class TestMatchesPerCellReference:
+    """fit's blocked sweeps in the quadratic basis against the plain
+    per-cell fit of the full features in tests/reference_fit.py."""
+
+    def _assert_same_fit(self, fast, ref, dataset, config):
         (model, report), (ref_model, ref_report) = fast, ref
         assert [s.fallback for s in report.subspaces] == [s.fallback for s in ref_report.subspaces]
         assert [s.n_rows for s in report.subspaces] == [s.n_rows for s in ref_report.subspaces]
-        for loc, want, cell, want_cell in zip(model.locals, ref_model.locals,
-                                              report.subspaces, ref_report.subspaces):
+        for rows, loc, want, cell, want_cell in zip(
+                route(model.partition, dataset), model.locals, ref_model.locals,
+                report.subspaces, ref_report.subspaces):
             assert loc.subspace == want.subspace
             assert loc.fallback_mean == want.fallback_mean
-            assert np.linalg.norm(loc.params - want.params) <= 1e-9 * np.linalg.norm(want.params)
-            assert abs(cell.sse - want_cell.sse) <= 1e-12 * want_cell.sse
-            assert (cell.ridge, cell.escalations) == (want_cell.ridge, want_cell.escalations)
-        assert abs(report.train_mse - ref_report.train_mse) <= 1e-12 * ref_report.train_mse
+            y = dataset.y[rows]
+            assert abs(cell.sse - want_cell.sse) <= _SSE_TOL * float(y @ y)
+            if cell.fallback:
+                continue
+            assert cell.escalations == 0
+            if config.ridge is None:
+                assert cell.ridge == pytest.approx(want_cell.ridge, rel=1e-12)
+            else:
+                assert cell.ridge == config.ridge
+            assert_solves_full_system(loc, dataset.X[rows], y, cell.ridge)
+        assert abs(report.train_mse - ref_report.train_mse) <= _MSE_RTOL * ref_report.train_mse
         assert report.train_mse == mse(model, dataset)
 
     def test_cells_larger_than_a_gram_chunk(self):
@@ -270,7 +348,7 @@ class TestMatchesPerCellReference:
         starts = np.cumsum([0] + counts)
         assert max(counts) > 4096 and 0 in counts and any(0 < c < 8 for c in counts)
         assert any(a < 8192 < b for a, b in zip(starts, starts[1:]))
-        self._assert_same_fit(fast, reference_fit(dataset, partition, config), dataset)
+        self._assert_same_fit(fast, reference_fit(dataset, partition, config), dataset, config)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), seed=st.integers(0, 10**6),
@@ -297,4 +375,4 @@ class TestMatchesPerCellReference:
             assert type(fast.__cause__) is type(ref.__cause__)
             assert str(fast.__cause__) == str(ref.__cause__)
             return
-        self._assert_same_fit(fast, ref, dataset)
+        self._assert_same_fit(fast, ref, dataset, config)
