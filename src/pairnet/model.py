@@ -13,9 +13,16 @@ The output is linear in the trainable (c, gamma): it equals the dot
 product of a feature row [beta, beta * theta] with [c; gamma], which is
 what makes one-shot least-squares fitting possible.
 
-fit's training predictions, forward() and local_forward() share one kernel,
-_predict; each of its steps is elementwise or a fixed-order sum over one
-row, so a row predicts bitwise the same in any batch.
+Within a cell's box those 2^(n+1) features are F = B T, with B the
+quadratic basis [1, g_i, g_i g_j (i < j), sum_i alpha_i^2 g_i^2] of
+d = 2 + n(n+1)/2 columns and T the closed-form map of _quadratic_map.
+Prediction never builds F: each cell carries b = T [c; gamma] (d values)
+in the model's prediction tables, and a row predicts B(g) . b. fit's
+training predictions, forward() and local_forward() share that kernel,
+_predict, and fit builds its b with the same function. Every step is
+elementwise or a sum in an order set by n alone (_fixed_sum), so a
+cell's b is bitwise the same in any table and a row predicts bitwise the
+same in any batch.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .activation import ActivationKind, activate
-from .partition import Interval, Partition, locate_many
+from .partition import Interval, Partition, _cell_order, locate_many
 
 __all__ = [
     "MAX_DIM",
@@ -39,7 +46,6 @@ __all__ = [
     "feature_matrix",
     "scope_boxes",
     "block_rows",
-    "predict_rows",
     "local_forward",
     "forward",
 ]
@@ -50,8 +56,9 @@ MAX_DIM = 20
 
 _ALPHA_TOL = 1e-12
 
-# Feature values per evaluation block (see block_rows). Predictions are
-# row-local, so the blocking never changes a result, only its speed.
+# Basis values per evaluation block (see block_rows), and per block of
+# _coefficients' products. Predictions are row-local, so the blocking
+# never changes a result, only its speed.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -89,8 +96,8 @@ def layer2_weights(g, alphas) -> np.ndarray:
 
 def _fuse(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """layer2_weights without the checks, in column layout: g is (n, N),
-    the alphas a are (n, 1) or one column per row (n, N), and w comes
-    out (2^n, N), so every operation runs along the rows.
+    the alphas a are (n, 1), and w comes out (2^n, N), so every
+    operation runs along the rows.
 
     The pattern table is built one input at a time, from the last input
     (least significant bit) to the first, so each w_k is the fixed-order
@@ -170,35 +177,40 @@ def feature_row(local: LocalPairNet, x) -> np.ndarray:
     return feature_matrix(local, x[None, :])[0]
 
 
-def feature_matrix(local: LocalPairNet, X: np.ndarray, rows=None) -> np.ndarray:
+def feature_matrix(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
     """Feature rows for a batch of points (N, n), shape (N, 2^(n+1)).
 
     The activations normalize over local.subspace and fuse with
-    local.alphas, or per row: ``rows``, a triple (lo, hi, alphas) of
-    arrays broadcastable to X, gives each row its own box and alphas.
-    Every step is elementwise, so a row's features do not depend on the
-    other rows. Layers 2-3 run over block_rows(n) rows at a time, so
-    their temporaries stay small.
+    local.alphas. Prediction never builds these rows (see _predict);
+    they are the literal Layers 2-3, for reference and inspection, and
+    hold 2^(n+1) values per row.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, m = local.n, 2**local.n
-    if rows is None:
-        lo, hi = np.array([(iv.lo, iv.hi) for iv in local.subspace]).T
-        rows = (lo, hi, local.alphas)
+    n = local.n
+    lo, hi = np.array([(iv.lo, iv.hi) for iv in local.subspace]).T
     # Column layout: (n, N) activations, so every operation runs along the rows.
-    lo, hi, alphas = (np.reshape(t, (-1, n)).T for t in rows)
-    g = activate(np.ascontiguousarray(X.T), lo, hi, local.activation)
-    alphas = np.broadcast_to(alphas, g.shape)
-    phi = np.empty((2 * m, g.shape[1]))    # column layout, returned transposed
-    step = block_rows(n)
-    for start in range(0, g.shape[1], step):
-        cols = slice(start, start + step)
-        w = _fuse(g[:, cols], alphas[:, cols])
-        b = np.divide(w, 2.0 ** (n - 1), out=phi[:m, cols])   # Layer 4's betas
-        theta = np.subtract(1.0, w, out=w)
-        theta *= 0.5
-        np.multiply(b, theta, out=phi[m:, cols])
-    return phi.T
+    g = activate(X.T, lo[:, None], hi[:, None], local.activation)
+    w = _fuse(g, local.alphas[:, None])
+    beta = w / 2.0 ** (n - 1)    # Layer 4's betas
+    return np.vstack([beta, beta * ((1.0 - w) * 0.5)]).T
+
+
+def _selector_bits(n: int, start: int, stop: int) -> np.ndarray:
+    """Selector bits (n, stop - start) of terms start..stop: bit i of k,
+    dimension 0 the most significant."""
+    return (np.arange(start, stop)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1
+
+
+def _map_columns(alphas: np.ndarray, bits: np.ndarray, offset: np.ndarray, n: int):
+    """T's columns (see _quadratic_map) for K terms: the beta columns and
+    the beta * theta columns, (2 + s(s+1)/2, K) each, from the alphas
+    (s,) and selector bits (s, K) of s inputs and the terms' offsets (K,)."""
+    slope = alphas[:, None] * (1.0 - 2.0 * bits)   # (s, K)
+    i, j = np.triu_indices(len(alphas), 1)
+    beta = np.vstack([offset, slope, np.zeros((len(i) + 1, len(offset)))]) / 2.0 ** (n - 1)
+    beta_theta = np.vstack([offset - offset**2, slope * (1.0 - 2.0 * offset),
+                            -2.0 * slope[i] * slope[j], np.full(len(offset), -1.0)]) / 2.0**n
+    return beta, beta_theta
 
 
 def _quadratic_map(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +230,9 @@ def _quadratic_map(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alphas = np.asarray(alphas, dtype=np.float64)
     n = len(alphas)
     support = np.flatnonzero(alphas > 0.0)
-    bits = (np.arange(2**n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1   # (n, 2^n)
-    offset = alphas @ bits
-    slope = alphas[support, None] * (1.0 - 2.0 * bits[support])   # (s, 2^n)
-    i, j = np.triu_indices(len(support), 1)
-    beta = np.vstack([offset, slope, np.zeros((len(i) + 1, 2**n))]) / 2.0 ** (n - 1)
-    beta_theta = np.vstack([offset - offset**2, slope * (1.0 - 2.0 * offset),
-                            -2.0 * slope[i] * slope[j], np.full(2**n, -1.0)]) / 2.0**n
-    return np.hstack([beta, beta_theta]), support
+    bits = _selector_bits(n, 0, 2**n)
+    T = _map_columns(alphas[support], bits[support], alphas @ bits, n)
+    return np.hstack(T), support
 
 
 def _quadratic_basis(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -237,10 +244,15 @@ def _quadratic_basis(g: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.vstack([np.ones(g.shape[1]), g, g[i] * g[j], squares]).T
 
 
+def _width(n: int) -> int:
+    """d = 2 + n(n+1)/2, the quadratic basis's width over all n inputs."""
+    return 2 + n * (n + 1) // 2
+
+
 def block_rows(n: int) -> int:
     """Rows per evaluation block for n inputs: about _BLOCK_VALUES
-    feature values, so a block's temporaries stay in cache."""
-    return max(1, _BLOCK_VALUES >> (n + 1))
+    basis values, so a block's temporaries stay in cache."""
+    return max(1, _BLOCK_VALUES // _width(n))
 
 
 def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...], ...]:
@@ -251,52 +263,105 @@ def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...],
     return (partition.domain,) * partition.size
 
 
-def predict_rows(phi: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Row-local prediction phi . params for feature rows (N, d).
+def _fixed_sum(s: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of s, in place, in an order set by its
+    length alone: while k > 1 slices remain, the last k // 2 are added
+    onto the first k // 2. Each output element sums its own column."""
+    k = len(s)
+    while k > 1:
+        half = k // 2
+        np.add(s[:half], s[k - half:k], out=s[:half])
+        k -= half
+    return s[0]
 
-    params is (d,) or one vector per row (N, d). The products are summed
-    by halving the columns, a fixed order over each row, so a row's
-    prediction is bitwise the same whatever batch it sits in.
+
+def _coefficients(alphas: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Each cell's basis coefficients b = T [c; gamma], (d, M), from its
+    alphas (n, M) and [c; gamma] (2^(n+1), M), with T over all n inputs
+    (an input with alpha_i = 0 has zero rows).
+
+    T is built once per distinct alphas column and a block of terms at a
+    time, never whole: a power of two of them, about _BLOCK_VALUES / d.
+    Each block's products are summed by _fixed_sum and the blocks are
+    added in term order, an order set by n alone, so a cell's b depends
+    on its own alphas and parameters only, bitwise.
     """
-    s = phi * params
-    half = s.shape[1] // 2
-    while half:
-        np.add(s[:, :half], s[:, half:2 * half], out=s[:, :half])
-        half //= 2
-    return s[:, 0]
+    n, size = alphas.shape
+    m, d = 2**n, _width(n)
+    terms = min(m, 1 << max(0, (_BLOCK_VALUES // d).bit_length() - 1))
+    chunk = max(1, _BLOCK_VALUES // (terms * d))   # cells per block of products
+    b = np.empty((d, size))
+    order = np.lexsort(alphas[::-1])   # cells with equal alphas end up adjacent
+    ordered = alphas[:, order]
+    starts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
+    for members in np.split(order, starts):
+        a = alphas[:, members[0]]
+        for start in range(0, m, terms):
+            bits = _selector_bits(n, start, start + terms)
+            beta, beta_theta = (np.ascontiguousarray(t.T)[:, :, None] for t in
+                                _map_columns(a, bits, _fixed_sum(a[:, None] * bits), n))
+            for first in range(0, len(members), chunk):
+                cols = members[first:first + chunk]
+                c = params[start:start + terms, None, cols]
+                gamma = params[m + start:m + start + terms, None, cols]
+                part = _fixed_sum(beta * c + beta_theta * gamma)   # (terms, d, cells)
+                b[:, cols] = part if start == 0 else b[:, cols] + part
+    return b
 
 
-def _tables_of(locs) -> tuple[np.ndarray, ...]:
-    """_predict's tables of a sequence of locals, one column per local."""
+def _prediction_tables(lo, hi, alphas, params, means) -> tuple[np.ndarray, ...]:
+    """_predict's tables, one column per cell: the box ends lo, hi (n, M),
+    the squared alphas (n, M) and the coefficients b (d, M), from the
+    boxes, the alphas (n, M), [c; gamma] (2^(n+1), M) and the fallback
+    means (M,), NaN where the cell is solved. A fallback cell's b is
+    [mean, 0, ..., 0], so it predicts its mean exactly."""
+    b = _coefficients(alphas, params)
+    fallback = ~np.isnan(means)
+    b[:, fallback] = 0.0
+    b[0, fallback] = means[fallback]
+    return lo, hi, alphas * alphas, b
+
+
+def _stacked(locs) -> tuple[np.ndarray, ...]:
+    """A sequence of locals as columns: box ends lo, hi and alphas (n, M),
+    [c; gamma] (2^(n+1), M) and fallback means (M,), NaN where solved."""
     lo, hi = np.array([[(iv.lo, iv.hi) for iv in loc.subspace] for loc in locs]).T
     return (lo, hi, np.array([loc.alphas for loc in locs]).T.copy(),
             np.array([loc.params for loc in locs]).T.copy(),
-            np.array([[loc.fallback_mean for loc in locs]], dtype=float))  # None -> NaN
+            np.array([loc.fallback_mean for loc in locs], dtype=float))  # None -> NaN
 
 
 def _columns(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Each row's column of a per-cell table (k, M), as (rows, k) in
-    feature_matrix's layout, for rows sorted by cell: a run that starts
-    and ends in one cell lies in it and shares that column, a view."""
+    """Each row's column of a per-cell table (k, M), as (k, rows), for
+    rows sorted by cell: a run that starts and ends in one cell lies in
+    it and shares that column, a view."""
     if cells[0] == cells[-1]:
-        return table[:, cells[0], None].T
-    return np.take(table, cells, axis=1).T
+        return table[:, cells[0], None]
+    return np.take(table, cells, axis=1)
 
 
-def _predict(template: LocalPairNet, tables, X: np.ndarray, cells: np.ndarray):
-    """Predictions for rows X sorted by cell; template gives n and the
-    activation. tables holds one column per cell: box ends lo, hi and
-    alphas (n, M), [c; gamma] (2^(n+1), M) and the fallback mean (1, M),
-    NaN where the cell is solved; cells[i] is row i's column. Blocks of
-    block_rows(n) rows go through feature_matrix and predict_rows.
+def _predict(activation: ActivationKind, tables, X: np.ndarray, cells: np.ndarray):
+    """Predictions B(g) . b for rows X (N, n) sorted by cell, where
+    B(g) = [1, g_i, g_i g_j (i < j), sum_i alpha_i^2 g_i^2] over all n
+    inputs; tables are _prediction_tables' and cells[i] is row i's
+    column. Each block of block_rows(n) rows is elementwise, and each
+    row's d products are summed by _fixed_sum.
     """
+    n = X.shape[1]
+    i, j = np.triu_indices(n, 1)
     out = np.empty(len(X))
-    step = block_rows(template.n)
+    step = block_rows(n)
     for start in range(0, len(X), step):
         rows = slice(start, start + step)
-        lo, hi, alphas, params, mean = (_columns(t, cells[rows]) for t in tables)
-        pred = predict_rows(feature_matrix(template, X[rows], (lo, hi, alphas)), params)
-        out[rows] = np.where(np.isnan(mean[:, 0]), pred, mean[:, 0])
+        lo, hi, squares, b = (_columns(t, cells[rows]) for t in tables)
+        g = activate(np.ascontiguousarray(X[rows].T), lo, hi, activation)   # (n, rows)
+        terms = np.empty((len(b), g.shape[1]))
+        terms[0] = b[0]
+        np.multiply(g, b[1:n + 1], out=terms[1:n + 1])
+        np.multiply(g[i], g[j], out=terms[n + 1:-1])
+        terms[n + 1:-1] *= b[n + 1:-1]
+        np.multiply(_fixed_sum(squares * g * g), b[-1], out=terms[-1])
+        out[rows] = _fixed_sum(terms)
     return out
 
 
@@ -308,7 +373,8 @@ def local_forward(local: LocalPairNet, x):
     """
     x = np.asarray(x, dtype=np.float64)
     X = x[None, :] if x.ndim == 1 else x
-    out = _predict(local, _tables_of([local]), X, np.zeros(len(X), dtype=np.intp))
+    tables = _prediction_tables(*_stacked([local]))
+    out = _predict(local.activation, tables, X, np.zeros(len(X), dtype=np.intp))
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -354,7 +420,7 @@ class PairNetModel:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         """The prediction tables, built from the locals on first use."""
-        return _tables_of(self.locals)
+        return _prediction_tables(*_stacked(self.locals))
 
     def __eq__(self, other):
         if not isinstance(other, PairNetModel):
@@ -363,7 +429,7 @@ class PairNetModel:
                 and self.activation_scope == other.activation_scope
                 and self.locals[0].activation == other.locals[0].activation
                 and all(np.array_equal(a, b, equal_nan=True)
-                        for a, b in zip(self._tables, other._tables)))
+                        for a, b in zip(_stacked(self.locals), _stacked(other.locals))))
 
     __hash__ = None
 
@@ -379,8 +445,8 @@ def forward(model: PairNetModel, x):
     x = np.asarray(x, dtype=np.float64)
     X = x[None, :] if x.ndim == 1 else x
     cells = locate_many(model.partition, X)
-    order = np.argsort(cells, kind="stable")
+    order = _cell_order(cells, model.partition.size)
     out = np.empty(len(X))
-    out[order] = _predict(model.locals[0], model._tables, np.take(X, order, axis=0),
-                          cells[order])
+    out[order] = _predict(model.locals[0].activation, model._tables,
+                          np.take(X, order, axis=0), cells[order])
     return float(out[0]) if x.ndim == 1 else out

@@ -222,15 +222,24 @@ def locate_many(partition: Partition, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != partition.ndim:
         raise ValueError(f"expected (N, {partition.ndim}) points, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    if not np.isfinite(points).all():
+        row = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ValueError(f"row {row} has a non-finite coordinate: {points[row].tolist()}")
     per_dim = []
     for d, (e, m) in enumerate(zip(partition.edges, partition.counts)):
         i = np.searchsorted(np.asarray(e), points[:, d], side="right") - 1
         per_dim.append(np.clip(i, 0, m - 1))
     return np.ravel_multi_index(tuple(per_dim), partition.counts)
+
+
+def _cell_order(cells: np.ndarray, size: int) -> np.ndarray:
+    """np.argsort(cells, kind="stable") for flat cell indices below size.
+
+    The indices are cast to the narrowest unsigned type that holds them
+    first: numpy radix-sorts keys of up to 16 bits, and a stable sort's
+    permutation is the same whatever the key type.
+    """
+    return np.argsort(cells.astype(np.min_scalar_type(size - 1)), kind="stable")
 
 
 def route(partition: Partition, dataset) -> list[np.ndarray]:
@@ -242,4 +251,4 @@ def route(partition: Partition, dataset) -> list[np.ndarray]:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
     flat = locate_many(partition, dataset.X)
     ends = np.cumsum(np.bincount(flat, minlength=partition.size))
-    return np.split(np.argsort(flat, kind="stable"), ends[:-1])
+    return np.split(_cell_order(flat, partition.size), ends[:-1])

@@ -18,9 +18,11 @@ segment into that cell's C^T C and C^T y, and hands every cell with
 enough rows to the Cholesky solver. Cells with fewer than 2^(n+1) rows
 do not determine the parameters; depending on policy they either raise
 or fall back to a constant predictor at the target mean. The second
-sweep predicts every row from (c, gamma) with the prediction kernel
-forward() uses, and every training error in the report is read from
-those predictions.
+sweep lifts each cell's (c, gamma) to its basis coefficients
+b = T [c; gamma] over all n inputs and predicts every row as B(g) . b,
+with the function and the kernel forward() uses (see model.py), and
+every training error in the report is read from those predictions; so
+forward() on the training data reproduces them bitwise.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     PairNetModel,
     _columns,
     _predict,
+    _prediction_tables,
     _quadratic_basis,
     _quadratic_map,
     feature_matrix,  # noqa: F401 - perfbench/tracing.py rebinds it here
@@ -175,13 +178,14 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
     Rows are routed to cells once and sorted by cell. The first sweep
     reads the sorted rows in blocks of at most _GRAM_ROWS rows that end
     on cell boundaries (a larger cell is read every _GRAM_ROWS rows from
-    its start), builds each block's features in one call, each row in
-    its own cell's box, and solves every cell with enough rows from its
-    segments' Gram sums, in flat order. The second sweep predicts every
-    row with the kernel forward() and local_forward() use, so the
-    per-cell SSEs and the training MSE come from one prediction array,
-    and forward() on the training data reproduces it bitwise. fit_seconds
-    covers the whole call, from entry to the assembled model.
+    its start), builds each block's reduced rows in one call, each row
+    in its own cell's box, and solves every cell with enough rows from
+    its segments' Gram sums, in flat order. The second sweep predicts
+    every row through the basis coefficients, with the kernel forward()
+    and local_forward() use, so the per-cell SSEs and the training MSE
+    come from one prediction array, and forward() on the training data
+    reproduces it bitwise. fit_seconds covers the whole call, from entry
+    to the assembled model.
 
     Returns (PairNetModel, FitReport).
     """
@@ -213,7 +217,6 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     cell_of = np.repeat(np.arange(size), np.diff(bounds))
     boxes = scope_boxes(partition, config.activation_scope)
     lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes]).T   # (n, M) each
-    boxes_alphas = (lo, hi, np.broadcast_to(probe.alphas[:, None], lo.shape))
 
     # Cells are solved in the reduced rows C = B R^T and lifted by Q
     # (see the module docstring).
@@ -224,13 +227,15 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     def reduced(start, stop):
         """Reduced rows C of sorted rows start..stop, each in its cell's box."""
         cells = cell_of[start:stop]
-        g = activate(X[start:stop, support].T, _columns(support_lo, cells).T,
-                     _columns(support_hi, cells).T, config.activation)
+        g = activate(X[start:stop, support].T, _columns(support_lo, cells),
+                     _columns(support_hi, cells), config.activation)
         return _quadratic_basis(g, support_alphas) @ R.T
 
     coords, fallback, diags = _solve_cells(reduced, len(T), y, bounds, partition, config)
     params = coords @ Q.T
-    pred_sorted = _predict(probe, (*boxes_alphas, params.T.copy(), fallback), X, cell_of)
+    tables = _prediction_tables(lo, hi, np.broadcast_to(probe.alphas[:, None], lo.shape),
+                                params.T, fallback)
+    pred_sorted = _predict(config.activation, tables, X, cell_of)
     counts = np.diff(bounds)
     sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
     pred = np.empty(len(y))
@@ -240,7 +245,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     for j, diag in enumerate(diags):
         locals_.append(LocalPairNet(
             n=n, alphas=probe.alphas, c=params[j, :m], gamma=params[j, m:], subspace=boxes[j],
-            activation=config.activation, fallback_mean=None if diag else float(fallback[0, j]),
+            activation=config.activation, fallback_mean=None if diag else float(fallback[j]),
         ))
         if diag is None:
             cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), True, None, 0, None))
@@ -265,7 +270,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 def _solve_cells(reduced, d, y, bounds, partition, config):
     """The first sweep, in flat cell order: each cell's reduced
     coordinates (one row of an (M, d) array) and solve record, or its
-    fallback mean (a (1, M) array, NaN where the cell is solved).
+    fallback mean (an (M,) array, NaN where the cell is solved).
 
     ``reduced(start, stop)`` gives the d-wide reduced rows of the
     cell-sorted rows start..stop; ``bounds[j]:bounds[j + 1]`` are cell j's rows.
@@ -276,7 +281,7 @@ def _solve_cells(reduced, d, y, bounds, partition, config):
     n, size = partition.ndim, partition.size
     threshold = min_rows_threshold(n)
     coords = np.zeros((size, d))
-    fallback = np.full((1, size), np.nan)
+    fallback = np.full(size, np.nan)
     diags = [None] * size
     block_start = block_stop = 0
     for j in range(size):
@@ -287,7 +292,7 @@ def _solve_cells(reduced, d, y, bounds, partition, config):
                     f"{b - a} rows < {threshold} parameters (2^(n+1) with n={n})"
                 )
                 raise _cell_error(partition, j, exc) from exc
-            fallback[0, j] = np.mean(y[a:b]) if b > a else 0.0
+            fallback[j] = np.mean(y[a:b]) if b > a else 0.0
             continue
         G = np.zeros((d, d))
         r = np.zeros(d)

@@ -66,7 +66,6 @@ def test_fit_calls_the_traced_layers(calls):
     assert len(calls["solve_spd"]) == solved
     # Each cell is solved in the quadratic basis: 2 + s(s+1)/2 with s = 3.
     assert all(args[0].G.shape == (8, 8) for args in calls["solve_spd"])
-    # The tracer counts feature rows from the second argument, through
-    # both bindings: every training row is featurized at most twice.
-    rows = sum(len(args[1]) for args in calls["feature_matrix"])
-    assert calls["feature_matrix"] and rows <= 2 * len(dataset)
+    # Fit and its training predictions both run in the quadratic basis:
+    # no feature rows go through either binding the tracer counts.
+    assert calls["feature_matrix"] == []

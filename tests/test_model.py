@@ -8,6 +8,8 @@ four-layer pipeline.
 """
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from pairnet.model import (
     MAX_DIM,
     LocalPairNet,
     PairNetModel,
+    _fixed_sum,
+    _prediction_tables,
     _quadratic_basis,
     _quadratic_map,
+    _stacked,
     betas,
     block_rows,
     feature_matrix,
@@ -426,3 +431,90 @@ class TestForwardMatchesReference:
                              for iv in box])
         want = [naive_local_forward(local, x) for x in X]
         np.testing.assert_allclose(local_forward(local, X), want, rtol=1e-12, atol=1e-12)
+
+
+def _kernel_case_model(n, a0, tag, seed):
+    """A model with per-cell alphas (alpha_0 set to a0 in every other
+    cell when a0 is not None), one fallback cell when it has more than
+    one, and parameters of scale 10."""
+    gen = np.random.default_rng(seed)
+    box = tuple(Interval(float(i), float(i) + gen.uniform(0.5, 3.0)) for i in range(n))
+    part = uniform_partition(box, (2,) * min(n, 3) + (1,) * (n - min(n, 3)))
+    kind = ActivationKind(tag, gen.uniform(1.0, 8.0))
+    locs = []
+    for j in range(part.size):
+        alphas = gen.dirichlet(np.ones(n))
+        if a0 is not None and j % 2 == 0:
+            alphas[1:] *= (1.0 - a0) / alphas[1:].sum()
+            alphas[0] = a0
+        locs.append(LocalPairNet(
+            n=n, alphas=alphas, c=10.0 * gen.normal(size=2**n),
+            gamma=10.0 * gen.normal(size=2**n), subspace=part.cell(j), activation=kind,
+            fallback_mean=float(gen.normal()) if j == 1 else None,
+        ))
+    return PairNetModel(partition=part, locals=tuple(locs)), gen
+
+
+class TestPredictionKernel:
+    """Prediction runs through the quadratic basis: B(g) . b with
+    b = T [c; gamma] per cell, never through the 2^(n+1) features."""
+
+    @pytest.mark.parametrize("tag", ["linear", "sigmoid"])
+    @pytest.mark.parametrize("n,a0", [(n, None) for n in range(1, 9)] + [
+        (n, a0) for n in range(2, 9) for a0 in (0.0, 1e-12)])
+    def test_kernel_matches_the_features(self, n, a0, tag):
+        model, gen = _kernel_case_model(n, a0, tag, seed=n)
+        part = model.partition
+        lo = np.array([e[0] for e in part.edges])
+        hi = np.array([e[-1] for e in part.edges])
+        # A margin around the domain puts rows outside every box.
+        X = gen.uniform(lo - 1.0, hi + 1.0, size=(400, n))
+        cells = locate_many(part, X)
+        want = np.empty(len(X))
+        for j, loc in enumerate(model.locals):
+            rows = cells == j
+            want[rows] = (feature_matrix(loc, X[rows]) @ loc.params
+                          if loc.fallback_mean is None else loc.fallback_mean)
+            np.testing.assert_allclose(local_forward(loc, X[rows]), want[rows],
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(forward(model, X), want, rtol=1e-12, atol=1e-12)
+
+    def test_coefficients_do_not_depend_on_the_table(self):
+        """A cell's b is bitwise the same in a one-cell table (local_forward)
+        and in the model's many-cell table, with shared and distinct alphas."""
+        model, _ = _kernel_case_model(3, 0.0, "linear", seed=5)
+        shared = dataclasses.replace(model.locals[0], c=model.locals[0].c[::-1].copy())
+        locs = model.locals + (shared,)
+        many = _prediction_tables(*_stacked(locs))[3]
+        assert many.shape == (2 + 3 * 4 // 2, len(locs))
+        for j, loc in enumerate(locs):
+            np.testing.assert_array_equal(_prediction_tables(*_stacked([loc]))[3][:, 0],
+                                          many[:, j])
+
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_fixed_sum_adds_every_row(self, width):
+        """Every row counts, at widths that are not powers of two too."""
+        assert _fixed_sum(np.ones((width, 3)))[0] == width
+        assert _fixed_sum(np.arange(1.0, width + 1.0)[:, None])[0] == width * (width + 1) / 2
+        values = np.random.default_rng(width).normal(size=(width, 5))
+        want = [math.fsum(col) for col in values.T]
+        np.testing.assert_allclose(_fixed_sum(values.copy()), want, rtol=0, atol=1e-14)
+
+    def test_local_forward_never_holds_the_whole_map(self):
+        """At n = 16, T would be d x 2^17 = 138 x 131072 values (145 MB);
+        the coefficients are built from blocks of terms instead."""
+        n = 16
+        gen = np.random.default_rng(16)
+        local = LocalPairNet(n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+                             gamma=gen.normal(size=2**n),
+                             subspace=tuple(Interval(0.0, 1.0) for _ in range(n)))
+        X = gen.uniform(-0.5, 1.5, size=(20, n))
+        tracemalloc.start()
+        try:
+            out = local_forward(local, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        np.testing.assert_allclose(out[:3], feature_matrix(local, X[:3]) @ local.params,
+                                   rtol=1e-12, atol=1e-12)

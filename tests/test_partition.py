@@ -10,6 +10,7 @@ from pairnet.partition import (
     Interval,
     Partition,
     PartitionSamplingError,
+    _cell_order,
     locate,
     locate_many,
     random_partition,
@@ -174,6 +175,17 @@ class TestRoute:
             assert np.all(np.diff(idx) > 0)  # ascending row order
             for i in idx:
                 assert locate(part, X[i]) == j
+
+
+    @pytest.mark.parametrize("size", [1, 256, 257, 65_536, 65_537])
+    def test_cell_order_is_the_stable_argsort(self, size):
+        """The narrow unsigned key sorts to the same permutation as the
+        int64 indices, on either side of the 8- and 16-bit key widths."""
+        gen = np.random.default_rng(size)
+        cells = gen.integers(0, size, 200_000)
+        cells[:3] = [0, size - 1, size - 1]
+        np.testing.assert_array_equal(_cell_order(cells, size),
+                                      np.argsort(cells, kind="stable"))
 
 
 class TestRandomPartition:
