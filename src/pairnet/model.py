@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .activation import ActivationKind, activate
-from .partition import Interval, Partition, _cell_order, locate_many
+from .partition import Interval, Partition, _cell_order, _checked_points, locate_many
 
 __all__ = [
     "MAX_DIM",
@@ -60,6 +60,10 @@ _ALPHA_TOL = 1e-12
 # _coefficients' products. Predictions are row-local, so the blocking
 # never changes a result, only its speed.
 _BLOCK_VALUES = 1 << 15
+
+# Rows per block of forward: each block is routed, ordered, predicted and
+# scattered on its own, so forward's temporaries stay this size.
+_FORWARD_ROWS = 1 << 15
 
 
 def _check_dim(n: int) -> None:
@@ -439,14 +443,18 @@ def forward(model: PairNetModel, x):
 
     Each point is routed to its cell's local network; points on interior
     breakpoints belong to the upper cell, and points outside the domain
-    use the nearest boundary cell. The rows are sorted by cell for the
-    kernel fit uses, so on the training rows this repeats fit bitwise.
+    use the nearest boundary cell. A batch is taken _FORWARD_ROWS rows
+    at a time: each block is routed, sorted by cell for the kernel fit
+    uses and scattered back, so on the training rows this repeats fit
+    bitwise, and no temporary grows with the batch.
     """
     x = np.asarray(x, dtype=np.float64)
-    X = x[None, :] if x.ndim == 1 else x
-    cells = locate_many(model.partition, X)
-    order = _cell_order(cells, model.partition.size)
+    X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x)
     out = np.empty(len(X))
-    out[order] = _predict(model.locals[0].activation, model._tables,
-                          np.take(X, order, axis=0), cells[order])
+    for start in range(0, len(X), _FORWARD_ROWS):
+        rows = slice(start, start + _FORWARD_ROWS)
+        cells = locate_many(model.partition, X[rows])
+        order = _cell_order(cells, model.partition.size)
+        out[rows][order] = _predict(model.locals[0].activation, model._tables,
+                                    np.take(X[rows], order, axis=0), cells[order])
     return float(out[0]) if x.ndim == 1 else out

@@ -7,6 +7,13 @@ most significant mixed-radix digit). Routing of points to cells is
 left-closed/right-open per dimension, with the last interval closed and
 out-of-domain points clamped to the nearest boundary cell, so locate()
 is total over finite points; a NaN or infinite coordinate is refused.
+
+locate_many routes a batch by counting, per dimension, the interior
+breakpoints each coordinate reaches, sum_k (x >= e_k): one comparison
+pass per breakpoint, with no binary search and no per-dimension index
+arrays. That count is the clamped searchsorted(e, x, "right") - 1,
+exactly, on breakpoints and outside the domain too. A dimension with
+more than _COUNT_EDGES interior breakpoints is binary-searched.
 """
 
 from __future__ import annotations
@@ -34,6 +41,12 @@ __all__ = [
 # the domain width.
 MIN_WIDTH_FRACTION = 0.01
 _MAX_REDRAWS = 100
+
+# locate_many counts a dimension's interior breakpoints up to this many
+# and binary-searches past it (a uint8 tally holds up to 255). On 32k-
+# and 500k-row columns counting took half searchsorted's time at 64
+# breakpoints and about as long at 128.
+_COUNT_EDGES = 64
 
 
 class PartitionSamplingError(RuntimeError):
@@ -217,19 +230,38 @@ def locate(partition: Partition, point: Sequence[float]) -> int:
     return partition.encode(idx)
 
 
-def locate_many(partition: Partition, points: np.ndarray) -> np.ndarray:
-    """Vectorized locate over an (N, n) array of points."""
+def _checked_points(partition: Partition, points) -> np.ndarray:
+    """points as a float64 (N, n) array, or the error locate_many raises:
+    a wrong shape, or the first row with a NaN or infinite coordinate."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != partition.ndim:
         raise ValueError(f"expected (N, {partition.ndim}) points, got shape {points.shape}")
     if not np.isfinite(points).all():
         row = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ValueError(f"row {row} has a non-finite coordinate: {points[row].tolist()}")
-    per_dim = []
+    return points
+
+
+def locate_many(partition: Partition, points: np.ndarray) -> np.ndarray:
+    """Vectorized locate over an (N, n) array of points. A dimension's
+    breakpoints are counted into a uint8 tally, which is then added into
+    the flat index in place (see the module docstring)."""
+    points = _checked_points(partition, points)
+    flat = np.zeros(len(points), dtype=np.intp)
+    col = np.empty(len(points))
+    tally = np.empty(len(points), dtype=np.uint8)
+    reached = np.empty(len(points), dtype=bool)
     for d, (e, m) in enumerate(zip(partition.edges, partition.counts)):
-        i = np.searchsorted(np.asarray(e), points[:, d], side="right") - 1
-        per_dim.append(np.clip(i, 0, m - 1))
-    return np.ravel_multi_index(tuple(per_dim), partition.counts)
+        flat *= m
+        col[:] = points[:, d]   # contiguous: comparisons run 2-3x faster
+        if m - 1 > _COUNT_EDGES:
+            flat += np.clip(np.searchsorted(e, col, side="right") - 1, 0, m - 1)
+            continue
+        tally.fill(0)
+        for edge in e[1:-1]:
+            tally += np.greater_equal(col, edge, out=reached)
+        flat += tally
+    return flat
 
 
 def _cell_order(cells: np.ndarray, size: int) -> np.ndarray:

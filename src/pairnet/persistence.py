@@ -52,10 +52,10 @@ class ModelVersionError(ModelFormatError):
 
 
 def _float_list(arr, field: str) -> list[float]:
-    values = [float(v) for v in np.asarray(arr, dtype=np.float64)]
-    if not all(np.isfinite(values)):
-        raise ValueError(f"{field} contains non-finite values: {values}")
-    return values
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{field} contains non-finite values: {arr.tolist()}")
+    return arr.tolist()
 
 
 def _jsonable(value, field: str):

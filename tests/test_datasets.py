@@ -1,7 +1,11 @@
 """Benchmark functions, their exact grids, and lossless CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pairnet.datasets import (
     CsvFormatError,
@@ -13,6 +17,7 @@ from pairnet.datasets import (
     write_csv,
 )
 from pairnet.partition import Interval
+from reference_csv import line_read_csv
 
 
 class TestBenchmarkFunctions:
@@ -178,3 +183,79 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CsvFormatError, match="empty"):
             read_csv(path)
+
+
+_JUNK = ["", " ", "1_0", '"1.5"', '"2', "#", "# 1", "nan", "inf", "-Infinity", "1e500",
+         "-1e500", "1e-400", "0x10", "\u0661", "\uff11", " 2 ", "\t3", "+4", ".5", "5.", "1d3",
+         "\xa0", "\x0c", "\x1c", "\x0b", "\x85", "\ufeff1", "1 2", "'1'", "e5", "--1", "1e",
+         "\x00", "\r"]
+
+_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(_JUNK),
+    st.text(alphabet='0123456789.-+eE_ \t"#nNaAiIfF\x0c\x1c\xa0', max_size=6),
+)
+
+
+@st.composite
+def _csv_bodies(draw):
+    """(n, body lines): mostly well-formed rows, with blank lines, junk
+    fields and ragged rows mixed in."""
+    n = draw(st.integers(1, 3))
+    row = st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                 min_size=n + 1, max_size=n + 1),
+        st.lists(_FIELDS, min_size=n + 1, max_size=n + 1),
+        st.lists(_FIELDS, min_size=0, max_size=n + 3),
+    )
+    lines = draw(st.lists(st.one_of(row.map(",".join), st.just(""), st.just("  ")),
+                          max_size=8))
+    return n, lines
+
+
+class TestCsvMatchesLineReader:
+    """read_csv parses through numpy's C reader; the line-by-line reader
+    of reference_csv is the oracle: the same arrays bitwise, or the
+    same error and message."""
+
+    @staticmethod
+    def _compare(path):
+        try:
+            want = line_read_csv(path)
+        except ValueError as exc:   # CsvFormatError, or the domain's own check
+            with pytest.raises(type(exc)) as got:
+                read_csv(path)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_csv(path)
+        assert got.X.shape == want.X.shape and got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.domain == want.domain
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_csv_bodies(), newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+    def test_generated_files(self, tmp_path, case, newline, last):
+        n, lines = case
+        header = ",".join([f"x{i + 1}" for i in range(n)] + ["y"])
+        path = tmp_path / "gen.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(newline.join([header, *lines]) + (newline if last else ""))
+        self._compare(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n", "1,2\n", "1\n2\n",
+                                      "1,2\n   \n", "1_0,2\n", '"1",2\n', "1,2,\n",
+                                      "\ufeff1,2\n", "1e500,2\n", "1,2\r3,4\r",
+                                      "1\x1c,2\n", "1,\x1f2\n", "\u0661,2\n"])
+    def test_edge_cases(self, tmp_path, body):
+        """A header-only file reads empty without loadtxt's no-data
+        warning; a one-column body is refused, not read as rows; a field
+        that numpy's reader would accept and float() refuses is refused."""
+        path = tmp_path / "edge.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("x1,y\n" + body)
+        self._compare(path)

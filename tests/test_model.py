@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import sample_box
 from pairnet.activation import LINEAR, ActivationKind, activate, pair_activation
 from pairnet.model import (
+    _FORWARD_ROWS,
     MAX_DIM,
     LocalPairNet,
     PairNetModel,
@@ -291,6 +292,49 @@ class TestPairNetModel:
         with pytest.raises(ValueError, match="non-finite"):
             forward(model, X[3])
         assert np.isfinite(forward(model, X[:3])).all()  # outside the domain still clamps
+
+    def test_forward_blocks_match_local_forward(self, rng):
+        """More than two blocks of rows, every cell in every block: each
+        row is bitwise its own cell's local_forward."""
+        model = self._model(counts=(3, 3), seed=9)
+        rows = 2 * _FORWARD_ROWS + 5000
+        X = np.column_stack([rng.uniform(-0.5, 4.5, rows), rng.uniform(-1.2, 1.2, rows)])
+        cells = locate_many(model.partition, X)
+        out = forward(model, X)
+        want = np.empty(rows)
+        for j, loc in enumerate(model.locals):
+            mine = cells == j
+            assert len(np.unique(np.flatnonzero(mine) // _FORWARD_ROWS)) == 3
+            want[mine] = local_forward(loc, X[mine])
+        np.testing.assert_array_equal(out, want)
+        for i in (0, _FORWARD_ROWS - 1, _FORWARD_ROWS, 2 * _FORWARD_ROWS, rows - 1):
+            assert out[i] == local_forward(model.locals[cells[i]], X[i])
+
+    def test_non_finite_row_is_named_across_blocks(self):
+        model = self._model()
+        X = np.tile([1.0, 0.0], (3 * _FORWARD_ROWS, 1))
+        X[70_000, 1] = np.nan
+        with pytest.raises(ValueError, match=r"row 70000 has a non-finite coordinate"):
+            forward(model, X)
+
+    def test_forward_memory_stays_at_block_size(self):
+        """400k rows of a 64-cell model: the output (3.2 MB) plus one
+        block's temporaries, not whole-batch copies of X and the order."""
+        part = uniform_partition((Interval(1.0, 20.0),) * 3, (4, 4, 4))
+        gen = np.random.default_rng(64)
+        model = PairNetModel(partition=part, locals=tuple(
+            LocalPairNet(n=3, alphas=np.full(3, 1 / 3), c=gen.normal(size=8),
+                         gamma=gen.normal(size=8), subspace=part.cell(j))
+            for j in range(part.size)))
+        X = gen.uniform(1.0, 20.0, size=(400_000, 3))
+        forward(model, X[:10])   # builds the cached tables outside the measurement
+        tracemalloc.start()
+        try:
+            forward(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_locals_count_must_match(self):
         model = self._model()

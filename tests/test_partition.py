@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairnet.datasets import Dataset
 from pairnet.partition import (
+    _COUNT_EDGES,
     Interval,
     Partition,
     PartitionSamplingError,
@@ -17,6 +18,7 @@ from pairnet.partition import (
     route,
     uniform_partition,
 )
+from reference_routing import searchsorted_locate_many
 
 BOX = (Interval(0.0, 10.0), Interval(-2.0, 2.0), Interval(1.0, 20.0))
 
@@ -160,6 +162,85 @@ class TestLocate:
             locate(part, (1.0, 2.0))
         with pytest.raises(ValueError):
             locate_many(part, np.zeros((4, 2)))
+
+
+def _edge_probes(part: Partition, gen) -> np.ndarray:
+    """Rows that put every dimension on each breakpoint, one ulp below
+    it, outside the domain on both sides, and at random in between."""
+    cols = []
+    for e in part.edges:
+        e = np.asarray(e)
+        width = e[-1] - e[0]
+        values = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                 [e[0] - width, e[-1] + width, -1e300, 1e300],
+                                 gen.uniform(e[0] - 0.1 * width, e[-1] + 0.1 * width, 300)])
+        cols.append(gen.permutation(np.resize(values, 2 * len(values) + 300)))
+    rows = max(len(c) for c in cols)
+    return np.column_stack([np.resize(c, rows) for c in cols])
+
+
+def _sorted_uniform_partition(box, counts, gen) -> Partition:
+    """Random breakpoints with no width floor, so any count can be drawn."""
+    return Partition(tuple((iv.lo, *np.sort(gen.uniform(iv.lo, iv.hi, m - 1)).tolist(), iv.hi)
+                           for iv, m in zip(box, counts)))
+
+
+def _assert_routes_like_search(part: Partition, points: np.ndarray):
+    flat = locate_many(part, points)
+    assert flat.dtype == np.intp
+    np.testing.assert_array_equal(flat, searchsorted_locate_many(part, points))
+
+
+class TestLocateManyMatchesSearch:
+    """locate_many counts breakpoints; the binary search of
+    reference_routing is the oracle, exactly and in dtype."""
+
+    def test_breakpoints_ulps_and_outside(self, rng):
+        part = random_partition(BOX, (1, 8), rng)
+        _assert_routes_like_search(part, _edge_probes(part, rng))
+
+    @pytest.mark.parametrize("edge", [0.0, -0.0])
+    def test_signed_zero_breakpoint(self, edge):
+        part = Partition(((-1.0, edge, 1.0), (-2.0, -1.0, edge, 3.0)))
+        zeros = np.array([0.0, -0.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0)])
+        points = np.array([(a, b) for a in zeros for b in zeros])
+        _assert_routes_like_search(part, points)
+        assert locate_many(part, points)[:2].tolist() == [part.encode((1, 2))] * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), m_max=st.integers(1, 80))
+    def test_random_partitions(self, seed, n, m_max):
+        gen = np.random.default_rng(seed)
+        box = tuple(Interval(-1.0 - i, 2.0 * i + 1.0) for i in range(n))
+        counts = tuple(int(gen.integers(1, m_max + 1)) for _ in range(n))
+        part = _sorted_uniform_partition(box, counts, gen)
+        _assert_routes_like_search(part, _edge_probes(part, gen))
+
+    @pytest.mark.parametrize("interior", [_COUNT_EDGES - 1, _COUNT_EDGES, _COUNT_EDGES + 1,
+                                          _COUNT_EDGES + 2, 200, 254, 255, 256, 300])
+    def test_both_sides_of_the_search_cutoff(self, interior, rng):
+        """Counted up to _COUNT_EDGES interior breakpoints and searched
+        past it, next to a counted dimension; the uint8 tally never sees
+        more than _COUNT_EDGES."""
+        part = _sorted_uniform_partition((Interval(0.0, 1.0), Interval(-3.0, 3.0)),
+                                         (interior + 1, 3), rng)
+        _assert_routes_like_search(part, _edge_probes(part, rng))
+
+    @pytest.mark.parametrize("counts", [(3, 5, 17), (255,), (4, 4, 16), (256,),
+                                        (3, 5, 17, 257), (255, 257), (16, 16, 16, 16),
+                                        (256, 256)])
+    def test_cell_counts_at_key_widths(self, counts, rng):
+        """Partitions of 255, 256, 65,535 and 65,536 cells, at the 8- and
+        16-bit widths of route's sort key."""
+        part = uniform_partition(tuple(Interval(0.0, float(m)) for m in counts), counts)
+        assert part.size in (255, 256, 65_535, 65_536)
+        points = _edge_probes(part, rng)
+        _assert_routes_like_search(part, points)
+        ds = Dataset(points, np.zeros(len(points)), part.domain)
+        groups = route(part, ds)
+        flat = searchsorted_locate_many(part, points)
+        for j in np.unique(flat):
+            np.testing.assert_array_equal(groups[j], np.flatnonzero(flat == j))
 
 
 class TestRoute:

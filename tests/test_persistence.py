@@ -155,6 +155,22 @@ class TestRoundTrip:
             save_model(model, tmp_path / "x.json")
 
 
+    def test_non_finite_parameters_are_refused(self, fitted_model, tmp_path):
+        """The error names the field and lists its values; no file is left."""
+        import dataclasses
+
+        model, _ = fitted_model
+        j = next(j for j, loc in enumerate(model.locals) if loc.fallback_mean is None)
+        c = model.locals[j].c.copy()
+        c[1] = np.inf
+        bad = dataclasses.replace(model.locals[j], c=c)
+        model = dataclasses.replace(model, locals=(*model.locals[:j], bad,
+                                                   *model.locals[j + 1:]))
+        want = f"locals[{j}].c contains non-finite values: {c.tolist()}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            save_model(model, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
+
 class TestStrictLoading:
     @pytest.fixture()
     def saved(self, fitted_model, tmp_path):
