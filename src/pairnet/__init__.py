@@ -29,13 +29,7 @@ from .datasets import (
     read_csv,
     write_csv,
 )
-from .linsolve import (
-    DenseSystem,
-    SingularSystemError,
-    SolveDiagnostics,
-    auto_ridge,
-    solve_spd,
-)
+from .linsolve import SingularSystemError
 from .model import (
     LocalPairNet,
     PairNetModel,
@@ -89,7 +83,6 @@ __all__ = [
     "CandidateResult",
     "CsvFormatError",
     "Dataset",
-    "DenseSystem",
     "DivergenceError",
     "FORMAT_VERSION",
     "FitConfig",
@@ -108,10 +101,8 @@ __all__ = [
     "PartitionSamplingError",
     "SelectionConfig",
     "SingularSystemError",
-    "SolveDiagnostics",
     "SubspaceFit",
     "SubspaceFitError",
-    "auto_ridge",
     "benchmark_eval",
     "betas",
     "feature_matrix",
@@ -138,7 +129,6 @@ __all__ = [
     "sample_alpha_simplex",
     "save_model",
     "select_model",
-    "solve_spd",
     "uniform_partition",
     "write_csv",
     "__version__",

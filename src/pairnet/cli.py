@@ -140,6 +140,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for an integer >= 0; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _activation(args) -> ActivationKind:
     try:
         return ActivationKind(args.activation, args.steepness)
@@ -419,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--candidates", type=int, default=4,
                    help="search iterations K; K+1 candidates are evaluated")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--count-range", default="2,6", help="per-dimension interval count bounds")
     p.add_argument("--alphas", default=None,
                    help="fixed fusion weights; default draws a random simplex per candidate")
@@ -434,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, required=True, choices=(1, 2))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--functions", default="f1,f2,f3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--candidates", type=int, default=4,
                    help="table 1: search iterations K (K+1 candidates, default 5 total)")
     p.add_argument("--epochs", type=int, default=500, help="table 1: MLP epochs")

@@ -151,7 +151,8 @@ def read_csv(path, domain: tuple[Interval, ...] | None = None) -> Dataset:
     The header must be x1,...,xn,y, and every field a finite number;
     the error for a bad field names its line. When no domain is given it is
     inferred from the per-column min/max (degenerate columns are padded
-    by half a unit each way).
+    by half a unit each way, or by one float step where rounding loses
+    that half unit).
 
     The body is parsed by numpy's C reader. When that parse fails, finds
     a non-finite value, the wrong column count or no rows at all, the
@@ -177,7 +178,8 @@ def read_csv(path, domain: tuple[Interval, ...] | None = None) -> Dataset:
     else:
         X, y = _read_rows(body, n, path)
     if domain is None:
-        domain = tuple(_column_interval(X[:, i]) for i in range(n))
+        domain = tuple(_column_interval(X[:, i], f"{path}: column x{i + 1}")
+                       for i in range(n))
     return Dataset(X, y, domain)
 
 
@@ -221,10 +223,21 @@ def _read_rows(body: str, n: int, path) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _column_interval(col: np.ndarray) -> Interval:
+def _column_interval(col: np.ndarray, where: str) -> Interval:
+    """[min, max] of the column. A one-valued column is padded by half a
+    unit each way or, where rounding loses that half unit on both sides
+    (magnitudes of 2^52 and more), by one float step each way."""
     if col.size == 0:
         return Interval(0.0, 1.0)
     lo, hi = float(col.min()), float(col.max())
     if lo == hi:
-        return Interval(lo - 0.5, hi + 0.5)
+        value = lo
+        lo, hi = value - 0.5, value + 0.5
+        if lo == hi:
+            lo, hi = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise CsvFormatError(
+                    f"{where}: every value is {value!r}, which has no finite neighbour "
+                    "to pad its domain to"
+                )
     return Interval(lo, hi)

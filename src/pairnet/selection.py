@@ -58,6 +58,8 @@ class SelectionConfig:
             )
         if self.ridge is not None and not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.alphas is not None:
             object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 

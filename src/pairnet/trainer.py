@@ -36,7 +36,7 @@ import numpy as np
 
 from .activation import LINEAR, ActivationKind, activate
 from .datasets import Dataset
-from .linsolve import DenseSystem, auto_ridge, solve_spd
+from .linsolve import solve_spd
 from .model import (
     LocalPairNet,
     PairNetModel,
@@ -308,9 +308,11 @@ def _solve_cells(reduced, d, y, bounds, partition, config):
             r += c.T @ y[start:stop]
         ridge = config.ridge
         if ridge is None:
-            ridge = auto_ridge(G) * d / 2 ** (n + 1)
+            # 1e-10 * trace / 2^(n+1): the solver's floor 1e-10 * trace / d,
+            # evaluated in that order, rescaled from d to 2^(n+1).
+            ridge = 1e-10 * float(np.trace(G)) / d * d / 2 ** (n + 1)
         try:
-            coords[j], diags[j] = solve_spd(DenseSystem(G, r), ridge)
+            coords[j], diags[j] = solve_spd(G, r, ridge)
         except Exception as exc:
             raise _cell_error(partition, j, exc) from exc
     return coords, fallback, diags

@@ -48,5 +48,6 @@ def line_read_csv(path, domain=None) -> Dataset:
     X = np.asarray(xs, dtype=np.float64).reshape(len(xs), n)
     y = np.asarray(ys, dtype=np.float64)
     if domain is None:
-        domain = tuple(_column_interval(X[:, i]) for i in range(n))
+        domain = tuple(_column_interval(X[:, i], f"{path}: column x{i + 1}")
+                       for i in range(n))
     return Dataset(X, y, domain)

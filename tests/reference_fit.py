@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pairnet.linsolve import DenseSystem, SolveDiagnostics, residual_norm, solve_spd
+from pairnet.linsolve import SolveDiagnostics, solve_spd
 from pairnet.model import LocalPairNet, PairNetModel, feature_matrix, local_forward
 from pairnet.partition import route
 from pairnet.trainer import (
@@ -52,9 +52,10 @@ def _solve_cell(X, y, box, config):
         r += phi.T @ y[start:start + _CHUNK_ROWS]
     if config.ridge == 0.0:
         p = np.linalg.lstsq(feature_matrix(probe, X), y, rcond=None)[0]
-        diag = SolveDiagnostics(ridge=0.0, escalations=0, residual=residual_norm(G, p, r))
+        diag = SolveDiagnostics(ridge=0.0, escalations=0,
+                                residual=float(np.linalg.norm(G @ p - r)))
     else:
-        p, diag = solve_spd(DenseSystem(G, r), config.ridge)
+        p, diag = solve_spd(G, r, config.ridge)
     return replace(probe, c=p[:2**n], gamma=p[2**n:]), diag
 
 

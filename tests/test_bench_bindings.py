@@ -65,7 +65,7 @@ def test_fit_calls_the_traced_layers(calls):
     assert len(calls["route"]) == 1
     assert len(calls["solve_spd"]) == solved
     # Each cell is solved in the quadratic basis: 2 + s(s+1)/2 with s = 3.
-    assert all(args[0].G.shape == (8, 8) for args in calls["solve_spd"])
+    assert all(args[0].shape == (8, 8) for args in calls["solve_spd"])
     # Fit and its training predictions both run in the quadratic basis:
     # no feature rows go through either binding the tracer counts.
     assert calls["feature_matrix"] == []

@@ -193,6 +193,17 @@ class TestSelect:
                      "--model-out", str(tmp_path / "m.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["select", "--candidates", "1"],
+                                      ["bench", "--table", "1", "--functions", "f2"]])
+    def test_negative_seed_is_usage_error(self, small_csv, tmp_path, capsys, argv):
+        paths = (["--data", small_csv, "--model-out", str(tmp_path / "m.json")]
+                 if argv[0] == "select" else ["--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as err:
+            main(argv + paths + ["--seed", "-1"])
+        assert err.value.code == 2
+        assert "argument --seed: must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBench:
     def test_partition_sweep_csv(self, tmp_path, capsys):

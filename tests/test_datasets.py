@@ -154,6 +154,23 @@ class TestCsvRoundTrip:
         write_csv(Dataset(X, np.zeros(4), (Interval(0, 5),)), path)
         assert read_csv(path).domain == (Interval(1.5, 2.5),)
 
+    def test_degenerate_huge_column_padded_by_a_float_step(self, tmp_path):
+        """At 2^52 and above, value +/- 0.5 rounds back to the value; the
+        domain then steps to the neighbouring floats."""
+        value = 4503599627370498.0
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,y\n{value!r},0.0\n")
+        (iv,) = read_csv(path).domain
+        assert iv.lo < value < iv.hi
+        assert (iv.lo, iv.hi) == (np.nextafter(value, -np.inf), np.nextafter(value, np.inf))
+
+    @pytest.mark.parametrize("value", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_degenerate_column_at_largest_float_refused(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,x2,y\n0.0,{value!r},0.0\n1.0,{value!r},0.0\n")
+        with pytest.raises(CsvFormatError, match="column x2: every value is"):
+            read_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y\n1,2,3\n")

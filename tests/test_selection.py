@@ -40,6 +40,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
             SelectionConfig(candidates=1, ridge=ridge)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SelectionConfig(candidates=1, seed=-1)
+
 
 class TestSimplexSampling:
     def test_valid_draws(self, rng):

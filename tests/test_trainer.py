@@ -11,7 +11,7 @@ from conftest import sample_box
 from reference_fit import reference_fit
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
-from pairnet.linsolve import DenseSystem, solve_spd
+from pairnet.linsolve import solve_spd
 from pairnet.model import _quadratic_map, feature_matrix, feature_row, local_forward
 from pairnet.partition import (
     Interval,
@@ -100,7 +100,7 @@ class TestFitLocal:
             phi = feature_row(probe, X[i])
             G += np.outer(phi, phi)
             r += phi * y[i]
-        p, _ = solve_spd(DenseSystem(G, r), cfg.ridge)
+        p, _ = solve_spd(G, r, cfg.ridge)
         np.testing.assert_allclose(
             local_forward(fitted, X), feature_matrix(probe, X) @ p, rtol=1e-9, atol=1e-9
         )
