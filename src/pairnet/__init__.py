@@ -6,16 +6,17 @@ parameters, so each partition cell is fit exactly by solving one small
 least-squares system instead of by gradient descent. The package
 bundles the model, the per-cell trainer, random-search model selection,
 the three synthetic benchmarks, a backprop MLP baseline, JSON model
-persistence, and a reproduction CLI.
+persistence, and a reproduction CLI. The namespace holds that user-facing
+API; layer-level functions such as model.feature_matrix (the literal
+layers), model.local_forward and partition.locate_many stay importable
+from their modules.
 """
 
-from .activation import LINEAR, ActivationKind, pair_activation
+from .activation import LINEAR, ActivationKind
 from .baseline_mlp import (
     DivergenceError,
     MLPConfig,
     MLPModel,
-    history_to_csv,
-    loss_and_grads,
     mlp_forward,
     mlp_train,
 )
@@ -33,21 +34,13 @@ from .linsolve import SingularSystemError
 from .model import (
     LocalPairNet,
     PairNetModel,
-    betas,
-    feature_matrix,
-    feature_row,
     forward,
-    layer2_weights,
-    local_forward,
 )
 from .partition import (
     Interval,
     Partition,
     PartitionSamplingError,
-    locate,
-    locate_many,
     random_partition,
-    route,
     uniform_partition,
 )
 from .persistence import (
@@ -61,7 +54,6 @@ from .selection import (
     CandidateResult,
     Leaderboard,
     SelectionConfig,
-    sample_alpha_simplex,
     select_model,
 )
 from .trainer import (
@@ -71,7 +63,6 @@ from .trainer import (
     SubspaceFit,
     SubspaceFitError,
     fit,
-    min_rows_threshold,
     mse,
 )
 
@@ -104,29 +95,16 @@ __all__ = [
     "SubspaceFit",
     "SubspaceFitError",
     "benchmark_eval",
-    "betas",
-    "feature_matrix",
-    "feature_row",
     "fit",
     "forward",
     "gen_test",
     "gen_train",
-    "layer2_weights",
     "load_model",
-    "local_forward",
-    "locate",
-    "locate_many",
-    "min_rows_threshold",
     "mlp_forward",
     "mlp_train",
-    "history_to_csv",
-    "loss_and_grads",
     "mse",
-    "pair_activation",
     "random_partition",
     "read_csv",
-    "route",
-    "sample_alpha_simplex",
     "save_model",
     "select_model",
     "uniform_partition",

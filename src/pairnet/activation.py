@@ -5,8 +5,8 @@ Two kinds are provided. "linear" is min-max normalization over the
 interval; "sigmoid" is a logistic curve affinely renormalized so that
 g(lo) = 0 and g(hi) = 1 exactly, with the logistic evaluated as
 0.5 + 0.5 * tanh(z / 2), which never overflows. Both clamp outside the
-interval, so the pair is total, complementary (g + gbar == 1) and
-non-decreasing.
+interval, so g is total and non-decreasing; the model's fusion layer
+(model._fuse) forms the complement.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Interval
-
-__all__ = ["ActivationKind", "LINEAR", "activate", "pair_activation"]
+__all__ = ["ActivationKind", "LINEAR", "activate"]
 
 _KINDS = ("linear", "sigmoid")
 
@@ -42,18 +40,6 @@ class ActivationKind:
 
 
 LINEAR = ActivationKind("linear")
-
-
-def pair_activation(x, interval: Interval, kind: ActivationKind = LINEAR):
-    """Evaluate (g, 1 - g) for a scalar or array of inputs.
-
-    g is non-decreasing with g(interval.lo) = 0 and g(interval.hi) = 1;
-    inputs outside the interval saturate at those endpoint values.
-    """
-    g = activate(x, interval.lo, interval.hi, kind)
-    if g.ndim == 0:
-        g = float(g)
-    return g, 1.0 - g
 
 
 def activate(x, lo, hi, kind: ActivationKind = LINEAR) -> np.ndarray:

@@ -10,15 +10,12 @@ plain numpy and deterministic given the seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
-from .ioutil import atomic_write_text
 
 __all__ = [
     "MLPConfig",
@@ -27,7 +24,6 @@ __all__ = [
     "mlp_forward",
     "mlp_train",
     "loss_and_grads",
-    "history_to_csv",
 ]
 
 
@@ -40,8 +36,7 @@ class MLPConfig:
     hidden: tuple[int, ...] = (16,) * 20
     epochs: int = 500
     learning_rate: float = 1e-3
-    optimizer: str = "momentum"  # or "sgd"
-    momentum: float = 0.9
+    momentum: float = 0.9  # 0.0 gives plain SGD
     batch_size: int = 64
     seed: int = 0
 
@@ -54,10 +49,11 @@ class MLPConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and nonnegative, "
+                             f"got {self.learning_rate!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
 
 
 @dataclass(frozen=True)
@@ -165,16 +161,11 @@ def mlp_train(dataset: Dataset, config: MLPConfig):
                 batch = order[start:start + config.batch_size]
                 current = MLPModel(tuple(weights), tuple(biases), x_mean, x_std)
                 _, gW, gb = loss_and_grads(current, dataset.X[batch], dataset.y[batch])
-                if config.optimizer == "momentum":
-                    for i in range(len(weights)):
-                        vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * gW[i]
-                        vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
-                        weights[i] = weights[i] + vel_W[i]
-                        biases[i] = biases[i] + vel_b[i]
-                else:
-                    for i in range(len(weights)):
-                        weights[i] = weights[i] - config.learning_rate * gW[i]
-                        biases[i] = biases[i] - config.learning_rate * gb[i]
+                for i in range(len(weights)):
+                    vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * gW[i]
+                    vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
+                    weights[i] = weights[i] + vel_W[i]
+                    biases[i] = biases[i] + vel_b[i]
             current = MLPModel(tuple(weights), tuple(biases), x_mean, x_std)
             epoch_mse = float(np.mean((mlp_forward(current, dataset.X) - dataset.y) ** 2))
             if not np.isfinite(epoch_mse):
@@ -183,12 +174,3 @@ def mlp_train(dataset: Dataset, config: MLPConfig):
     seconds = time.perf_counter() - t0
     return MLPModel(tuple(weights), tuple(biases), x_mean, x_std), history, seconds
 
-
-def history_to_csv(history, path) -> None:
-    """Write a per-epoch training MSE curve as CSV (epoch, train_mse)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "train_mse"])
-    for epoch, value in enumerate(history):
-        writer.writerow([epoch, repr(float(value))])
-    atomic_write_text(path, buf.getvalue())

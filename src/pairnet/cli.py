@@ -296,7 +296,7 @@ def _mlp_seed(base: int, index: int) -> int:
 
 def table1_rows(functions=("f1", "f2", "f3"), candidates=4, epochs=500,
                 mlp_seeds=5, seed=0, hidden=(16,) * 20, learning_rate=1e-3,
-                momentum=0.9, batch_size=64, optimizer="momentum") -> list[dict]:
+                momentum=0.9, batch_size=64) -> list[dict]:
     """The speed/accuracy benchmark: random-search selection (candidates
     + 1 networks, random alphas and partitions) against the best of
     ``mlp_seeds`` finished backprop runs. Training times are totals, i.e.
@@ -318,8 +318,7 @@ def table1_rows(functions=("f1", "f2", "f3"), candidates=4, epochs=500,
         while finished < mlp_seeds and attempts < 10 * mlp_seeds:
             config = MLPConfig(hidden=tuple(hidden), epochs=epochs,
                                learning_rate=learning_rate, momentum=momentum,
-                               batch_size=batch_size, optimizer=optimizer,
-                               seed=_mlp_seed(seed + i, attempts))
+                               batch_size=batch_size, seed=_mlp_seed(seed + i, attempts))
             attempts += 1
             started = time.perf_counter()
             try:
@@ -362,15 +361,13 @@ def _cmd_bench(args) -> int:
         hidden = (args.mlp_width,) * args.mlp_depth
         try:
             MLPConfig(hidden=hidden, epochs=args.epochs, learning_rate=args.mlp_lr,
-                      momentum=args.mlp_momentum, batch_size=args.mlp_batch,
-                      optimizer=args.mlp_optimizer)
+                      momentum=args.mlp_momentum, batch_size=args.mlp_batch)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         rows = table1_rows(functions=functions, candidates=args.candidates,
                            epochs=args.epochs, mlp_seeds=args.mlp_seeds, seed=args.seed,
                            hidden=hidden, learning_rate=args.mlp_lr,
-                           momentum=args.mlp_momentum, batch_size=args.mlp_batch,
-                           optimizer=args.mlp_optimizer)
+                           momentum=args.mlp_momentum, batch_size=args.mlp_batch)
         fieldnames = ["method", "function", "t_train_seconds", "mse_train", "mse_test"]
         path = os.path.join(args.out, "table1.csv")
         config = {"table": 1, "functions": ",".join(functions), "seed": args.seed,
@@ -378,7 +375,7 @@ def _cmd_bench(args) -> int:
                   "mlp_seeds": args.mlp_seeds,
                   "mlp_hidden": f"{args.mlp_width}x{args.mlp_depth}",
                   "mlp_lr": repr(args.mlp_lr), "mlp_momentum": repr(args.mlp_momentum),
-                  "mlp_batch": args.mlp_batch, "mlp_optimizer": args.mlp_optimizer}
+                  "mlp_batch": args.mlp_batch}
     _write_rows(path, fieldnames, rows)
     for row in rows:
         print("  ".join(f"{key}={row[key]!r}" if isinstance(row[key], float)
@@ -453,9 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp-width", type=int, default=16, help="table 1: hidden layer width")
     p.add_argument("--mlp-depth", type=int, default=20, help="table 1: hidden layer count")
     p.add_argument("--mlp-lr", type=_finite_float, default=1e-3, help="table 1: learning rate")
-    p.add_argument("--mlp-momentum", type=_finite_float, default=0.9)
+    p.add_argument("--mlp-momentum", type=_finite_float, default=0.9,
+                   help="table 1: momentum in [0, 1); 0 gives plain SGD")
     p.add_argument("--mlp-batch", type=int, default=64, help="table 1: minibatch size")
-    p.add_argument("--mlp-optimizer", default="momentum", choices=("momentum", "sgd"))
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -40,9 +40,6 @@ __all__ = [
     "MAX_DIM",
     "LocalPairNet",
     "PairNetModel",
-    "layer2_weights",
-    "betas",
-    "feature_row",
     "feature_matrix",
     "scope_boxes",
     "block_rows",
@@ -74,56 +71,34 @@ def _check_dim(n: int) -> None:
         )
 
 
-def _check_alphas(alphas: np.ndarray) -> None:
-    if (alphas < 0.0).any() or (alphas > 1.0).any():
-        raise ValueError(f"alphas must lie in [0, 1], got {alphas.tolist()}")
-    if abs(float(alphas.sum()) - 1.0) > _ALPHA_TOL:
-        raise ValueError(f"alphas must sum to 1 within {_ALPHA_TOL:g}, got sum {alphas.sum()!r}")
-
-
-def layer2_weights(g, alphas) -> np.ndarray:
-    """Fusion weights w of shape (..., 2^n) from activations g (..., n).
-
-    w_k is the alpha-weighted sum over inputs of g_i or 1 - g_i per the
-    selector bit pattern of k. Each w_k lies in [0, 1] and the w sum to
-    2^(n-1) whenever the alphas sum to 1.
-    """
-    g = np.asarray(g, dtype=np.float64)
+def _check_alphas(alphas) -> None:
+    """Refuse fusion weights outside [0, 1] or off the unit sum; a NaN
+    fails both comparisons, so it is refused too."""
     alphas = np.asarray(alphas, dtype=np.float64)
-    n = g.shape[-1]
-    if alphas.shape != (n,):
-        raise ValueError(f"alphas shape {alphas.shape} does not match {n} inputs")
-    _check_alphas(alphas)
-    flat = g.reshape(-1, n).T
-    return _fuse(flat, alphas[:, None]).T.reshape(g.shape[:-1] + (2**n,))
+    if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
+        raise ValueError(f"alphas must lie in [0, 1], got {alphas.tolist()}")
+    total = float(alphas.sum())
+    if not abs(total - 1.0) <= _ALPHA_TOL:
+        raise ValueError(f"alphas must sum to 1 within {_ALPHA_TOL:g}, got sum {total!r}")
 
 
 def _fuse(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """layer2_weights without the checks, in column layout: g is (n, N),
-    the alphas a are (n, 1), and w comes out (2^n, N), so every
-    operation runs along the rows.
+    """Layer 2's fusion weights w (2^n, N) from activations g (n, N) and
+    alphas a (n, 1), in column layout, so every operation runs along the
+    rows.
 
-    The pattern table is built one input at a time, from the last input
-    (least significant bit) to the first, so each w_k is the fixed-order
-    sum a_0 + (a_1 + (... + a_{n-1})) with a_i = alpha_i * g_i or
-    alpha_i * (1 - g_i). Every step is elementwise: a point's w depends
-    on that point's g alone.
+    w_k sums a_i = alpha_i * g_i or alpha_i * (1 - g_i), chosen by bit i
+    of k, in the fixed order a_0 + (a_1 + (... + a_{n-1})): the pattern
+    table is built from the last input (least significant bit) to the
+    first. Every step is elementwise, so a point's w depends on its g
+    alone. Each w_k lies in [0, 1], and the w sum to 2^(n-1) when the
+    alphas sum to 1.
     """
     pairs = np.stack([g * a, (1.0 - g) * a], axis=1)   # (n, 2, N)
     w = pairs[-1]
     for i in range(g.shape[0] - 2, -1, -1):
         w = (pairs[i, :, None, :] + w[None, :, :]).reshape(-1, g.shape[1])
     return np.clip(w, 0.0, 1.0, out=w)
-
-
-def betas(w) -> np.ndarray:
-    """Layer-4 mixing weights: w normalized by the analytic sum 2^(n-1)."""
-    w = np.asarray(w, dtype=np.float64)
-    m = w.shape[-1]
-    n = m.bit_length() - 1
-    if 2**n != m:
-        raise ValueError(f"fusion weight count {m} is not a power of two")
-    return w / 2.0 ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -173,21 +148,14 @@ class LocalPairNet:
         return np.concatenate([self.c, self.gamma])
 
 
-def feature_row(local: LocalPairNet, x) -> np.ndarray:
-    """Feature vector phi of length 2^(n+1) with output = phi . [c; gamma]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (local.n,):
-        raise ValueError(f"expected point of shape ({local.n},), got {x.shape}")
-    return feature_matrix(local, x[None, :])[0]
-
-
 def feature_matrix(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
     """Feature rows for a batch of points (N, n), shape (N, 2^(n+1)).
 
-    The activations normalize over local.subspace and fuse with
-    local.alphas. Prediction never builds these rows (see _predict);
-    they are the literal Layers 2-3, for reference and inspection, and
-    hold 2^(n+1) values per row.
+    This is the one literal definition of the four layers: activations
+    over local.subspace, fusion with local.alphas, and per row the
+    Layer-4 betas beta_k = w_k / 2^(n-1) followed by beta_k * theta_k,
+    so the output is this row . [c; gamma]. Prediction never builds
+    these rows (see _predict); they serve reference and inspection.
     """
     X = np.asarray(X, dtype=np.float64)
     n = local.n

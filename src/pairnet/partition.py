@@ -77,8 +77,8 @@ class Interval:
 class Partition:
     """Per-dimension breakpoints tiling a box into M cells.
 
-    ``edges[i]`` holds the m_i + 1 strictly increasing breakpoints of
-    dimension i, first entry a_i and last entry b_i. Immutable and safe
+    ``edges[i]`` holds the m_i + 1 finite, strictly increasing breakpoints
+    of dimension i, first entry a_i and last entry b_i. Immutable and safe
     to share across threads.
     """
 
@@ -90,6 +90,8 @@ class Partition:
         for i, e in enumerate(self.edges):
             if len(e) < 2:
                 raise ValueError(f"dimension {i}: need at least 2 breakpoints, got {len(e)}")
+            if not all(math.isfinite(v) for v in e):
+                raise ValueError(f"dimension {i}: breakpoints must be finite: {e}")
             if any(a >= b for a, b in zip(e, e[1:])):
                 raise ValueError(f"dimension {i}: breakpoints must be strictly increasing: {e}")
 

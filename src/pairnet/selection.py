@@ -18,6 +18,7 @@ import numpy as np
 
 from .activation import ActivationKind, LINEAR
 from .datasets import Dataset
+from .model import _check_alphas
 from .partition import Partition, random_partition
 from .seeding import ALPHA_STREAM, HOLDOUT_STREAM, PARTITION_STREAM, substream
 from .trainer import FitConfig, fit, mse
@@ -62,6 +63,7 @@ class SelectionConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.alphas is not None:
             object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+            _check_alphas(self.alphas)
 
 
 @dataclass(frozen=True)

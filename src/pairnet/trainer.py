@@ -40,6 +40,8 @@ from .linsolve import solve_spd
 from .model import (
     LocalPairNet,
     PairNetModel,
+    _check_alphas,
+    _check_dim,
     _columns,
     _predict,
     _prediction_tables,
@@ -106,6 +108,7 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        _check_alphas(self.alphas)
         if self.min_rows_policy not in ("fallback_mean", "error"):
             raise ValueError(f"unknown min_rows_policy {self.min_rows_policy!r}")
         if self.activation_scope not in ("subspace", "domain"):
@@ -196,6 +199,7 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
     if len(config.alphas) != dataset.n:
         raise ValueError(f"{len(config.alphas)} alphas for {dataset.n} inputs")
+    _check_dim(dataset.n)
     # The sweeps' temporaries are freed when _fit returns, inside the timing.
     model, cells, train_mse = _fit(dataset, partition, config)
     report = FitReport(subspaces=cells, train_mse=train_mse,
@@ -207,9 +211,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     """fit's work after validation: (model, per-cell records, train MSE)."""
     n, size = dataset.n, partition.size
     m = 2**n
-    probe = LocalPairNet(n=n, alphas=np.asarray(config.alphas), c=np.zeros(m),
-                         gamma=np.zeros(m), subspace=partition.domain,
-                         activation=config.activation)
+    alphas = np.asarray(config.alphas)
     groups = route(partition, dataset)
     order = np.concatenate(groups)
     bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
@@ -220,9 +222,9 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
     # Cells are solved in the reduced rows C = B R^T and lifted by Q
     # (see the module docstring).
-    T, support = _quadratic_map(probe.alphas)
+    T, support = _quadratic_map(alphas)
     Q, R = np.linalg.qr(T.T)
-    support_lo, support_hi, support_alphas = lo[support], hi[support], probe.alphas[support]
+    support_lo, support_hi, support_alphas = lo[support], hi[support], alphas[support]
 
     def reduced(start, stop):
         """Reduced rows C of sorted rows start..stop, each in its cell's box."""
@@ -233,7 +235,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
     coords, fallback, diags = _solve_cells(reduced, len(T), y, bounds, partition, config)
     params = coords @ Q.T
-    tables = _prediction_tables(lo, hi, np.broadcast_to(probe.alphas[:, None], lo.shape),
+    tables = _prediction_tables(lo, hi, np.broadcast_to(alphas[:, None], lo.shape),
                                 params.T, fallback)
     pred_sorted = _predict(config.activation, tables, X, cell_of)
     counts = np.diff(bounds)
@@ -244,7 +246,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     locals_, cells = [], []
     for j, diag in enumerate(diags):
         locals_.append(LocalPairNet(
-            n=n, alphas=probe.alphas, c=params[j, :m], gamma=params[j, m:], subspace=boxes[j],
+            n=n, alphas=alphas, c=params[j, :m], gamma=params[j, m:], subspace=boxes[j],
             activation=config.activation, fallback_mean=None if diag else float(fallback[j]),
         ))
         if diag is None:

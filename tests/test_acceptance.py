@@ -16,7 +16,7 @@ from pairnet.activation import LINEAR
 from pairnet.baseline_mlp import MLPConfig, loss_and_grads, mlp_train
 from pairnet.cli import TABLE2_ALPHAS, _write_rows, table2_rows
 from pairnet.datasets import Dataset, gen_test, gen_train
-from pairnet.model import LocalPairNet, feature_row, forward, local_forward
+from pairnet.model import LocalPairNet, feature_matrix, forward, local_forward
 from pairnet.partition import Interval, Partition, locate_many, route, uniform_partition
 from pairnet.persistence import load_model, save_model
 from pairnet.selection import SelectionConfig, select_model
@@ -135,7 +135,7 @@ def test_3_oracle_equivalence(verdict):
         model, _ = fit(Dataset(X, y, box), uniform_partition(box, (1, 1)),
                        FitConfig(alphas=alphas))
         closed = forward(model, X)
-        Phi = np.array([feature_row(probe, xi) for xi in X])
+        Phi = feature_matrix(probe, X)
         gd = _gd_predictions(Phi, y)
         pinv = Phi @ (np.linalg.pinv(Phi) @ y)
         worst_gd = max(worst_gd, float(np.sqrt(np.mean((closed - gd) ** 2))))

@@ -1,4 +1,4 @@
-"""Pair activations: complementary, monotone, endpoint-normalized."""
+"""Layer-1 activations: monotone, endpoint-normalized, saturating."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairnet.activation import LINEAR, ActivationKind, _logistic, pair_activation
+from pairnet.activation import LINEAR, ActivationKind, _logistic, activate
 from pairnet.partition import Interval
 
 SIGMOID = ActivationKind("sigmoid")
@@ -36,38 +36,36 @@ class TestKinds:
         assert LINEAR.tag == "linear"
 
 
+def g(x, kind=LINEAR, iv=IV):
+    return activate(x, iv.lo, iv.hi, kind)
+
+
 class TestEndpoints:
     """g(lo) = 0 and g(hi) = 1 exactly, for both kinds."""
 
     @pytest.mark.parametrize("kind", [LINEAR, SIGMOID, ActivationKind("sigmoid", 9.5)])
     def test_exact_endpoints(self, kind):
-        g_lo, bar_lo = pair_activation(IV.lo, IV, kind)
-        g_hi, bar_hi = pair_activation(IV.hi, IV, kind)
-        assert g_lo == 0.0 and bar_lo == 1.0
-        assert g_hi == 1.0 and bar_hi == 0.0
+        assert g(IV.lo, kind) == 0.0
+        assert g(IV.hi, kind) == 1.0
 
     @pytest.mark.parametrize("kind", [LINEAR, SIGMOID])
     def test_saturates_outside(self, kind):
-        assert pair_activation(IV.lo - 5.0, IV, kind)[0] == 0.0
-        assert pair_activation(IV.hi + 5.0, IV, kind)[0] == 1.0
+        assert g(IV.lo - 5.0, kind) == 0.0
+        assert g(IV.hi + 5.0, kind) == 1.0
 
     def test_sigmoid_midpoint_is_half(self):
-        g, gbar = pair_activation(IV.mid, IV, SIGMOID)
-        assert g == pytest.approx(0.5, abs=1e-15)
-        assert gbar == pytest.approx(0.5, abs=1e-15)
+        assert g(IV.mid, SIGMOID) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestLinearValues:
     def test_is_minmax_normalization(self):
         x = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-        g, gbar = pair_activation(x, IV, LINEAR)
-        np.testing.assert_allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_allclose(gbar, 1.0 - g)
+        np.testing.assert_allclose(g(x), [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_scalar_input_gives_floats(self):
-        g, gbar = pair_activation(3.0, IV)
-        assert isinstance(g, float) and isinstance(gbar, float)
-        assert g == 0.25 and gbar == 0.75
+    def test_broadcasts_per_element_intervals(self):
+        """Each element uses its own interval: a column per cell."""
+        out = activate(np.array([[3.0, 3.0]]), np.array([[2.0], [0.0]]), np.array([[6.0], [4.0]]))
+        np.testing.assert_array_equal(out, [[0.25, 0.25], [0.75, 0.75]])
 
 
 @given(
@@ -76,17 +74,13 @@ class TestLinearValues:
     tag=st.sampled_from(["linear", "sigmoid"]),
     steepness=st.floats(0.5, 20.0),
 )
-def test_complementary_and_monotone(x1, x2, tag, steepness):
-    """g + gbar == 1 exactly and g is non-decreasing."""
+def test_bounded_and_monotone(x1, x2, tag, steepness):
+    """g stays in [0, 1] and is non-decreasing."""
     kind = ActivationKind(tag, steepness)
     iv = Interval(-3.0, 4.0)
     lo, hi = sorted((x1, x2))
-    g1, bar1 = pair_activation(lo, iv, kind)
-    g2, bar2 = pair_activation(hi, iv, kind)
-    assert g1 + bar1 == 1.0
-    assert g2 + bar2 == 1.0
-    assert 0.0 <= g1 <= 1.0
-    assert g1 <= g2
+    g1, g2 = g(lo, kind, iv), g(hi, kind, iv)
+    assert 0.0 <= g1 <= g2 <= 1.0
 
 
 class TestLogistic:

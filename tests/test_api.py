@@ -1,6 +1,30 @@
-"""The package's public names: each resolves, none twice, no solver internals."""
+"""The package's public names: each resolves, none twice, no internals,
+and every name the benchmark imports from the package still resolves."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
 
 import pairnet
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Layer-level and helper functions that left the package namespace; each
+# stays importable from its module.
+REMOVED = {
+    "activation": ("pair_activation",),
+    "baseline_mlp": ("history_to_csv",),
+    "model": ("layer2_weights", "betas", "feature_row"),
+}
+MODULE_ONLY = {
+    "baseline_mlp": ("loss_and_grads",),
+    "model": ("feature_matrix", "local_forward"),
+    "partition": ("locate", "locate_many", "route"),
+    "selection": ("sample_alpha_simplex",),
+    "trainer": ("min_rows_threshold",),
+}
 
 
 def test_every_exported_name_resolves():
@@ -20,4 +44,44 @@ def test_solver_internals_not_exported():
 
 
 def test_export_count():
-    assert len(pairnet.__all__) == 54
+    assert len(pairnet.__all__) == 41
+
+
+@pytest.mark.parametrize("module,names", [*REMOVED.items(), *MODULE_ONLY.items()])
+def test_removed_names_are_not_in_the_package(module, names):
+    for name in names:
+        assert name not in pairnet.__all__
+        assert not hasattr(pairnet, name), name
+
+
+@pytest.mark.parametrize("module,names", REMOVED.items())
+def test_deleted_functions_are_gone(module, names):
+    mod = importlib.import_module(f"pairnet.{module}")
+    for name in names:
+        assert not hasattr(mod, name), f"pairnet.{module}.{name}"
+
+
+@pytest.mark.parametrize("module,names", MODULE_ONLY.items())
+def test_module_only_names_stay_importable(module, names):
+    mod = importlib.import_module(f"pairnet.{module}")
+    for name in names:
+        assert callable(getattr(mod, name, None)), f"pairnet.{module}.{name}"
+        assert name in mod.__all__
+
+
+def _package_imports(path):
+    """The names of every ``from pairnet import ...`` in a source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "pairnet" and node.level == 0
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("filename", ["workloads.py", "test_perfbench.py"])
+def test_benchmark_package_imports_resolve(filename):
+    """``from pairnet import x`` binds a package attribute or a submodule."""
+    names = _package_imports(PERFBENCH / filename)
+    assert names
+    for name in names:
+        if not hasattr(pairnet, name):
+            importlib.import_module(f"pairnet.{name}")

@@ -7,7 +7,7 @@ from pairnet.baseline_mlp import (
     DivergenceError,
     MLPConfig,
     MLPModel,
-    history_to_csv,
+    _init_model,
     loss_and_grads,
     mlp_forward,
     mlp_train,
@@ -70,8 +70,16 @@ class TestConfig:
             MLPConfig(epochs=0)
         with pytest.raises(ValueError, match="batch"):
             MLPConfig(batch_size=0)
-        with pytest.raises(ValueError, match="optimizer"):
-            MLPConfig(optimizer="adam")
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite and nonnegative"):
+            MLPConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("momentum", [np.nan, np.inf, -3.0, 1.0, 1.5])
+    def test_momentum_must_lie_in_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
+            MLPConfig(momentum=momentum)
 
 
 class TestGradients:
@@ -156,10 +164,20 @@ class TestTraining:
                                     learning_rate=1e3, seed=3))
 
     def test_plain_sgd_optimizer(self):
+        """momentum=0 is plain SGD: one full-batch epoch moves every
+        weight and bias by -learning_rate times its gradient."""
         ds = _toy()
-        _, history, _ = mlp_train(ds, MLPConfig(hidden=(4,), epochs=5,
-                                                optimizer="sgd", seed=11))
-        assert len(history) == 5
+        config = MLPConfig(hidden=(4,), epochs=1, learning_rate=0.05, momentum=0.0,
+                           batch_size=len(ds), seed=11)
+        trained, history, _ = mlp_train(ds, config)
+        assert len(history) == 1
+        rng = np.random.default_rng(config.seed)
+        start = _init_model(ds.n, config, trained.x_mean, trained.x_std, rng)
+        order = rng.permutation(len(ds))
+        _, gW, gb = loss_and_grads(start, ds.X[order], ds.y[order])
+        for got, w, g in zip(trained.weights + trained.biases,
+                             start.weights + start.biases, gW + gb):
+            np.testing.assert_array_equal(got, w - config.learning_rate * g)
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.empty((0, 1)), np.empty(0), (Interval(0, 1),))
@@ -173,12 +191,3 @@ class TestTraining:
         assert np.isfinite(history[-1])
         assert np.all(model.x_std > 0)
 
-
-def test_history_csv_roundtrip(tmp_path):
-    history = [3.5, 2.25, 1.0625]
-    path = tmp_path / "hist.csv"
-    history_to_csv(history, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_mse"
-    assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
-    assert [float(line.split(",")[1]) for line in lines[1:]] == history

@@ -240,6 +240,13 @@ class TestBench:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "table1.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "-3.0"])
+    def test_momentum_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
+        assert main(["bench", "--table", "1", "--functions", "f2", "--epochs", "2",
+                     "--out", str(tmp_path), "--mlp-momentum", value]) == 2
+        assert "momentum must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
     def test_speed_table_rejects_zero_candidates(self, tmp_path):
         assert main(["bench", "--table", "1", "--functions", "f2",
                      "--candidates", "0", "--out", str(tmp_path)]) == 2

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_box
-from pairnet.activation import LINEAR, ActivationKind, activate, pair_activation
+from pairnet.activation import LINEAR, ActivationKind, activate
 from pairnet.model import (
     _FORWARD_ROWS,
     MAX_DIM,
@@ -28,21 +28,29 @@ from pairnet.model import (
     _quadratic_basis,
     _quadratic_map,
     _stacked,
-    betas,
     block_rows,
     feature_matrix,
-    feature_row,
     forward,
-    layer2_weights,
     local_forward,
 )
 from pairnet.partition import Interval, locate_many, uniform_partition
 from reference_forward import naive_forward, naive_local_forward
 
 
+def _fusion_weights(g, alphas):
+    """Layer 2's w (N, 2^n) for activations g (N, n), read off
+    feature_matrix's beta columns (w = beta * 2^(n-1)) on the unit box,
+    where the linear activation is the identity."""
+    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
+    n = g.shape[1]
+    local = LocalPairNet(n=n, alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n),
+                         subspace=(Interval(0.0, 1.0),) * n)
+    return feature_matrix(local, g)[:, :2**n] * 2.0 ** (n - 1)
+
+
 class TestLayer2Weights:
     def test_worked_example(self):
-        w = layer2_weights(np.array([0.8, 0.6]), np.array([0.5, 0.5]))
+        w = _fusion_weights([0.8, 0.6], [0.5, 0.5])[0]
         np.testing.assert_allclose(w, [0.7, 0.6, 0.4, 0.3], atol=1e-15)
         assert w.sum() == pytest.approx(2.0, abs=1e-15)
 
@@ -50,7 +58,7 @@ class TestLayer2Weights:
         """w_0 is the all-positive sum, w_{2^n-1} the all-complement sum."""
         g = rng.uniform(size=4)
         alphas = rng.dirichlet(np.ones(4))
-        w = layer2_weights(g, alphas)
+        w = _fusion_weights(g, alphas)[0]
         assert w[0] == pytest.approx(float(alphas @ g), abs=1e-15)
         assert w[-1] == pytest.approx(float(alphas @ (1 - g)), abs=1e-15)
 
@@ -59,11 +67,11 @@ class TestLayer2Weights:
         n = 3
         g = rng.uniform(size=n)
         alphas = rng.dirichlet(np.ones(n))
-        w = layer2_weights(g, alphas)
+        w = _fusion_weights(g, alphas)[0]
         for i in range(n):
             g2 = g.copy()
             g2[i] = 1.0 - g2[i]
-            w2 = layer2_weights(g2, alphas)
+            w2 = _fusion_weights(g2, alphas)[0]
             mask = 1 << (n - 1 - i)
             for k in range(2**n):
                 assert w2[k] == pytest.approx(w[k ^ mask], abs=1e-14)
@@ -73,34 +81,31 @@ class TestLayer2Weights:
         gen = np.random.default_rng(seed)
         g = gen.uniform(size=(7, n))
         alphas = gen.dirichlet(np.ones(n))
-        w = layer2_weights(g, alphas)
+        w = _fusion_weights(g, alphas)
         assert w.shape == (7, 2**n)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         np.testing.assert_allclose(w.sum(axis=-1), 2.0 ** (n - 1), atol=1e-12)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            layer2_weights(np.array([0.5]), np.array([0.9]))
+            _fusion_weights([0.5], [0.9])
         with pytest.raises(ValueError, match="lie in"):
-            layer2_weights(np.array([0.5, 0.5]), np.array([-0.5, 1.5]))
-        with pytest.raises(ValueError, match="does not match"):
-            layer2_weights(np.array([0.5, 0.5]), np.array([1.0]))
+            _fusion_weights([0.5, 0.5], [-0.5, 1.5])
+        with pytest.raises(ValueError, match=r"alphas must have shape \(2,\)"):
+            _fusion_weights([0.5, 0.5], [1.0])
 
 
 class TestBetas:
     def test_worked_example(self):
-        b = betas(np.array([0.7, 0.6, 0.4, 0.3]))
+        local = LocalPairNet(n=2, alphas=[0.5, 0.5], c=np.zeros(4), gamma=np.zeros(4),
+                             subspace=(Interval(0.0, 1.0),) * 2)
+        b = feature_matrix(local, np.array([[0.8, 0.6]]))[0, :4]
         np.testing.assert_allclose(b, [0.35, 0.3, 0.2, 0.15])
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            betas(np.zeros(6))
 
     @given(n=st.integers(1, 5), seed=st.integers(0, 10**6))
     def test_convex_weights(self, n, seed):
         gen = np.random.default_rng(seed)
-        w = layer2_weights(gen.uniform(size=n), gen.dirichlet(np.ones(n)))
-        b = betas(w)
+        b = _fusion_weights(gen.uniform(size=n), gen.dirichlet(np.ones(n)))[0] / 2.0 ** (n - 1)
         assert np.all(b >= 0.0)
         assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -142,11 +147,13 @@ class TestFeaturesAndForward:
         X = sample_box(local.subspace, 40, seed=6)
         phi = feature_matrix(local, X)
         fast = phi @ local.params
-        g = np.stack([pair_activation(X[:, i], iv, local.activation)[0]
+        g = np.stack([activate(X[:, i], iv.lo, iv.hi, local.activation)
                       for i, iv in enumerate(local.subspace)], axis=-1)
-        w = layer2_weights(g, local.alphas)
-        b = betas(w)
+        bits = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1   # (2^n, n)
+        w = np.where(bits, 1.0 - g[:, None, :], g[:, None, :]) @ local.alphas
+        b = w / 4.0
         theta = 0.5 * (1.0 - w)
+        np.testing.assert_allclose(phi, np.hstack([b, b * theta]), rtol=1e-13, atol=1e-15)
         direct = np.sum(b * (local.c + theta * local.gamma), axis=-1)
         np.testing.assert_allclose(fast, direct, rtol=1e-13, atol=1e-13)
 
@@ -216,12 +223,6 @@ class TestFeaturesAndForward:
         X = sample_box(local.subspace, 10, seed=2)
         np.testing.assert_array_equal(local_forward(local, X), np.full(10, 4.25))
         assert local_forward(local, X[0]) == 4.25
-
-    def test_feature_row_shape_checks(self, make_local):
-        local = make_local(n=2)
-        assert feature_row(local, np.array([1.0, 2.0])).shape == (8,)
-        with pytest.raises(ValueError, match="shape"):
-            feature_row(local, np.array([1.0, 2.0, 3.0]))
 
 
 class TestPairNetModel:

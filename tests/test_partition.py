@@ -65,6 +65,12 @@ class TestPartitionStructure:
         with pytest.raises(ValueError, match="at least one dimension"):
             Partition(())
 
+    @pytest.mark.parametrize("edges", [(0.0, np.nan, 1.0), (0.0, 1.0, np.inf),
+                                       (-np.inf, 0.0, 1.0)])
+    def test_rejects_non_finite_edges(self, edges):
+        with pytest.raises(ValueError, match="dimension 1: breakpoints must be finite"):
+            Partition(((0.0, 1.0), edges))
+
 
 class TestFlatIndexing:
     """Dimension 0 is the most significant mixed-radix digit."""

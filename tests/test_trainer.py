@@ -12,7 +12,7 @@ from reference_fit import reference_fit
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.linsolve import solve_spd
-from pairnet.model import _quadratic_map, feature_matrix, feature_row, local_forward
+from pairnet.model import LocalPairNet, _quadratic_map, feature_matrix, local_forward
 from pairnet.partition import (
     Interval,
     Partition,
@@ -20,6 +20,7 @@ from pairnet.partition import (
     route,
     uniform_partition,
 )
+from pairnet.selection import SelectionConfig
 from pairnet.trainer import (
     FitConfig,
     InsufficientDataError,
@@ -66,6 +67,21 @@ class TestFitConfig:
         cfg = FitConfig(alphas=np.array([0.25, 0.75]))
         assert cfg.alphas == (0.25, 0.75)
 
+    @pytest.mark.parametrize("alphas,match", [
+        ((np.nan, 1.0), "lie in"), ((0.5, np.nan), "lie in"), ((np.inf, 0.0), "lie in"),
+        ((-np.inf, 1.0), "lie in"), ((-0.5, 1.5), "lie in"), ((0.3, 0.3), "sum to 1"),
+    ])
+    @pytest.mark.parametrize("make", [
+        lambda a: FitConfig(alphas=a),
+        lambda a: SelectionConfig(candidates=1, alphas=a),
+        lambda a: LocalPairNet(n=2, alphas=a, c=np.zeros(4), gamma=np.zeros(4), subspace=BOX2),
+    ], ids=["FitConfig", "SelectionConfig", "LocalPairNet"])
+    def test_bad_alphas_refused_at_construction(self, make, alphas, match):
+        """A NaN fails every comparison, so each check is written to fail
+        on it; the error names the alphas."""
+        with pytest.raises(ValueError, match=f"alphas must {match}"):
+            make(alphas)
+
 
 def _fit_one_cell(X, y, box, config, counts=None):
     """Fit a partition of ``box`` (one cell unless ``counts`` says
@@ -96,10 +112,9 @@ class TestFitLocal:
         G = np.zeros((d, d))
         r = np.zeros(d)
         probe = dataclasses.replace(gen_net, c=np.zeros(4), gamma=np.zeros(4))
-        for i in range(60):
-            phi = feature_row(probe, X[i])
+        for phi, y_i in zip(feature_matrix(probe, X), y):
             G += np.outer(phi, phi)
-            r += phi * y[i]
+            r += phi * y_i
         p, _ = solve_spd(G, r, cfg.ridge)
         np.testing.assert_allclose(
             local_forward(fitted, X), feature_matrix(probe, X) @ p, rtol=1e-9, atol=1e-9
