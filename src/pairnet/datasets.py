@@ -226,7 +226,8 @@ def _read_rows(body: str, n: int, path) -> tuple[np.ndarray, np.ndarray]:
 def _column_interval(col: np.ndarray, where: str) -> Interval:
     """[min, max] of the column. A one-valued column is padded by half a
     unit each way or, where rounding loses that half unit on both sides
-    (magnitudes of 2^52 and more), by one float step each way."""
+    (magnitudes of 2^52 and more), by one float step each way. A column
+    whose width max - min overflows is refused."""
     if col.size == 0:
         return Interval(0.0, 1.0)
     lo, hi = float(col.min()), float(col.max())
@@ -240,4 +241,7 @@ def _column_interval(col: np.ndarray, where: str) -> Interval:
                     f"{where}: every value is {value!r}, which has no finite neighbour "
                     "to pad its domain to"
                 )
-    return Interval(lo, hi)
+    try:
+        return Interval(lo, hi)
+    except ValueError as exc:   # e.g. a width hi - lo past the float range
+        raise CsvFormatError(f"{where}: {exc}") from None

@@ -33,15 +33,15 @@ from typing import Any
 
 import numpy as np
 
-from .activation import ActivationKind, activate
-from .partition import Interval, Partition, _cell_order, _checked_points, locate_many
+from .activation import LINEAR, ActivationKind, activate
+from .partition import Partition, _cell_order, _checked_points, locate_many
 
 __all__ = [
     "MAX_DIM",
     "LocalPairNet",
     "PairNetModel",
     "feature_matrix",
-    "scope_boxes",
+    "cell_boxes",
     "block_rows",
     "local_forward",
     "forward",
@@ -103,25 +103,21 @@ def _fuse(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalPairNet:
-    """One cell's fitted network.
+    """One cell's fitted network: its numbers alone.
 
-    ``subspace`` holds the intervals the activations normalize over
-    (the cell itself, or the whole domain for domain-scoped fits). When
-    ``fallback_mean`` is set the cell had too few rows and the model is
-    the constant predictor at that value; c and gamma are then inert.
-    ``alphas``, ``c`` and ``gamma`` are stored as read-only copies.
+    The box its activations normalize over and the activation itself
+    belong to the model (see cell_boxes). When ``fallback_mean`` is set
+    the cell had too few rows and the model is the constant predictor at
+    that value; c and gamma are then inert. ``alphas``, ``c`` and
+    ``gamma`` are stored as read-only copies.
     """
 
-    n: int
     alphas: np.ndarray
     c: np.ndarray
     gamma: np.ndarray
-    subspace: tuple[Interval, ...]
-    activation: ActivationKind = ActivationKind("linear")
     fallback_mean: float | None = None
 
     def __post_init__(self):
-        _check_dim(self.n)
         # Read-only copies: a model caches its prediction tables from its
         # locals, so an in-place edit would go unseen; edit with
         # dataclasses.replace instead.
@@ -129,18 +125,21 @@ class LocalPairNet:
             value = np.array(getattr(self, name), dtype=np.float64)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        if self.alphas.shape != (self.n,):
-            raise ValueError(f"alphas must have shape ({self.n},), got {self.alphas.shape}")
+        if self.alphas.ndim != 1:
+            raise ValueError(f"alphas must be one-dimensional, got shape {self.alphas.shape}")
+        _check_dim(self.n)
         _check_alphas(self.alphas)
         m = 2**self.n
         if self.c.shape != (m,):
             raise ValueError(f"c must have length {m}, got shape {self.c.shape}")
         if self.gamma.shape != (m,):
             raise ValueError(f"gamma must have length {m}, got shape {self.gamma.shape}")
-        if len(self.subspace) != self.n:
-            raise ValueError(f"subspace must have {self.n} intervals, got {len(self.subspace)}")
         if self.fallback_mean is not None and not np.isfinite(self.fallback_mean):
             raise ValueError(f"fallback_mean must be finite, got {self.fallback_mean!r}")
+
+    @property
+    def n(self) -> int:
+        return len(self.alphas)
 
     @property
     def params(self) -> np.ndarray:
@@ -148,22 +147,23 @@ class LocalPairNet:
         return np.concatenate([self.c, self.gamma])
 
 
-def feature_matrix(local: LocalPairNet, X: np.ndarray) -> np.ndarray:
+def feature_matrix(local: LocalPairNet, X: np.ndarray, box,
+                   activation: ActivationKind = LINEAR) -> np.ndarray:
     """Feature rows for a batch of points (N, n), shape (N, 2^(n+1)).
 
     This is the one literal definition of the four layers: activations
-    over local.subspace, fusion with local.alphas, and per row the
-    Layer-4 betas beta_k = w_k / 2^(n-1) followed by beta_k * theta_k,
-    so the output is this row . [c; gamma]. Prediction never builds
-    these rows (see _predict); they serve reference and inspection.
+    over the box (lo, hi), two length-n arrays, fusion with local.alphas,
+    and per row the Layer-4 betas beta_k = w_k / 2^(n-1) followed by
+    beta_k * theta_k, so the output is this row . [c; gamma]. Prediction
+    never builds these rows (see _predict); they serve reference and
+    inspection.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = local.n
-    lo, hi = np.array([(iv.lo, iv.hi) for iv in local.subspace]).T
+    lo, hi = (np.asarray(end, dtype=np.float64)[:, None] for end in box)
     # Column layout: (n, N) activations, so every operation runs along the rows.
-    g = activate(X.T, lo[:, None], hi[:, None], local.activation)
+    g = activate(X.T, lo, hi, activation)
     w = _fuse(g, local.alphas[:, None])
-    beta = w / 2.0 ** (n - 1)    # Layer 4's betas
+    beta = w / 2.0 ** (local.n - 1)    # Layer 4's betas
     return np.vstack([beta, beta * ((1.0 - w) * 0.5)]).T
 
 
@@ -227,12 +227,15 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES // _width(n))
 
 
-def scope_boxes(partition: Partition, scope: str) -> tuple[tuple[Interval, ...], ...]:
-    """Each cell's activation box, in flat order: the cell itself
-    ("subspace" scope) or the partition's whole domain ("domain")."""
+def cell_boxes(partition: Partition, scope: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's activation box as (n, M) arrays lo, hi, column j for
+    flat cell j: the cell itself ("subspace" scope) or the partition's
+    whole domain ("domain")."""
+    edges = [np.asarray(e) for e in partition.edges]
     if scope == "subspace":
-        return partition.cells
-    return (partition.domain,) * partition.size
+        digits = np.unravel_index(np.arange(partition.size), partition.counts)
+        return tuple(np.array([e[k + end] for e, k in zip(edges, digits)]) for end in (0, 1))
+    return tuple(np.repeat([[e[end]] for e in edges], partition.size, axis=1) for end in (0, -1))
 
 
 def _fixed_sum(s: np.ndarray) -> np.ndarray:
@@ -295,10 +298,9 @@ def _prediction_tables(lo, hi, alphas, params, means) -> tuple[np.ndarray, ...]:
 
 
 def _stacked(locs) -> tuple[np.ndarray, ...]:
-    """A sequence of locals as columns: box ends lo, hi and alphas (n, M),
-    [c; gamma] (2^(n+1), M) and fallback means (M,), NaN where solved."""
-    lo, hi = np.array([[(iv.lo, iv.hi) for iv in loc.subspace] for loc in locs]).T
-    return (lo, hi, np.array([loc.alphas for loc in locs]).T.copy(),
+    """A sequence of locals as columns: alphas (n, M), [c; gamma]
+    (2^(n+1), M) and fallback means (M,), NaN where solved."""
+    return (np.array([loc.alphas for loc in locs]).T.copy(),
             np.array([loc.params for loc in locs]).T.copy(),
             np.array([loc.fallback_mean for loc in locs], dtype=float))  # None -> NaN
 
@@ -337,16 +339,18 @@ def _predict(activation: ActivationKind, tables, X: np.ndarray, cells: np.ndarra
     return out
 
 
-def local_forward(local: LocalPairNet, x):
-    """Evaluate one cell's network at a point (n,) or batch (N, n).
+def local_forward(local: LocalPairNet, x, box, activation: ActivationKind = LINEAR):
+    """Evaluate one cell's network, with activations over the box (lo, hi),
+    at a point (n,) or batch (N, n).
 
     A batch is evaluated in blocks of block_rows(n) rows; each row's
     value is the same as for that point alone.
     """
     x = np.asarray(x, dtype=np.float64)
     X = x[None, :] if x.ndim == 1 else x
-    tables = _prediction_tables(*_stacked([local]))
-    out = _predict(local.activation, tables, X, np.zeros(len(X), dtype=np.intp))
+    lo, hi = (np.asarray(end, dtype=np.float64)[:, None] for end in box)
+    tables = _prediction_tables(lo, hi, *_stacked([local]))
+    out = _predict(activation, tables, X, np.zeros(len(X), dtype=np.intp))
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -356,34 +360,28 @@ class PairNetModel:
 
     ``activation_scope`` records what the activations normalize over:
     "subspace" (each local uses its own cell) or "domain" (all locals
-    share the partition's domain box). Every local uses local 0's
-    activation. Provenance is free-form metadata and never participates
-    in equality.
+    share the partition's domain box); cell_boxes gives the boxes. Every
+    local uses ``activation``. Provenance is free-form metadata and never
+    participates in equality.
     """
 
     partition: Partition
     locals: tuple[LocalPairNet, ...]
     activation_scope: str = "subspace"
+    activation: ActivationKind = LINEAR
     provenance: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.activation_scope not in ("subspace", "domain"):
-            raise ValueError(f"unknown activation scope {self.activation_scope!r}")
+            raise ValueError(f"unknown activation_scope {self.activation_scope!r}")
         if len(self.locals) != self.partition.size:
             raise ValueError(
                 f"model has {len(self.locals)} locals but partition has "
                 f"{self.partition.size} cells"
             )
-        boxes = scope_boxes(self.partition, self.activation_scope)
-        for j, (loc, expected) in enumerate(zip(self.locals, boxes)):
-            if loc.subspace != expected:
-                raise ValueError(
-                    f"local {j}: subspace {loc.subspace} does not match the "
-                    f"partition's ({self.activation_scope} scope)"
-                )
-            if loc.activation != self.locals[0].activation:
-                raise ValueError(f"local {j}: activation {loc.activation} differs from "
-                                 f"local 0's {self.locals[0].activation}")
+        for j, loc in enumerate(self.locals):
+            if loc.n != self.n:
+                raise ValueError(f"local {j} has {loc.n} inputs, partition has {self.n}")
 
     @property
     def n(self) -> int:
@@ -392,14 +390,15 @@ class PairNetModel:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         """The prediction tables, built from the locals on first use."""
-        return _prediction_tables(*_stacked(self.locals))
+        return _prediction_tables(*cell_boxes(self.partition, self.activation_scope),
+                                  *_stacked(self.locals))
 
     def __eq__(self, other):
         if not isinstance(other, PairNetModel):
             return NotImplemented
         return (self.partition == other.partition
                 and self.activation_scope == other.activation_scope
-                and self.locals[0].activation == other.locals[0].activation
+                and self.activation == other.activation
                 and all(np.array_equal(a, b, equal_nan=True)
                         for a, b in zip(_stacked(self.locals), _stacked(other.locals))))
 
@@ -423,6 +422,6 @@ def forward(model: PairNetModel, x):
         rows = slice(start, start + _FORWARD_ROWS)
         cells = locate_many(model.partition, X[rows])
         order = _cell_order(cells, model.partition.size)
-        out[rows][order] = _predict(model.locals[0].activation, model._tables,
+        out[rows][order] = _predict(model.activation, model._tables,
                                     np.take(X[rows], order, axis=0), cells[order])
     return float(out[0]) if x.ndim == 1 else out

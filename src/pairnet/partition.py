@@ -55,12 +55,14 @@ class PartitionSamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Interval:
-    """A nonempty real interval [lo, hi] with lo < hi."""
+    """A nonempty real interval [lo, hi]: lo < hi, finite ends and width."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.hi - self.lo):   # a NaN or infinite end, or width overflow
+            raise ValueError(f"interval ends and width must be finite: [{self.lo!r}, {self.hi!r}]")
         if not (self.lo < self.hi):
             raise ValueError(f"degenerate interval: lo={self.lo!r} must be < hi={self.hi!r}")
 
@@ -116,17 +118,6 @@ class Partition:
     def intervals(self, dim: int) -> tuple[Interval, ...]:
         e = self.edges[dim]
         return tuple(Interval(a, b) for a, b in zip(e, e[1:]))
-
-    def encode(self, indices: Sequence[int]) -> int:
-        """Flat cell index from per-dimension interval indices."""
-        if len(indices) != self.ndim:
-            raise ValueError(f"expected {self.ndim} indices, got {len(indices)}")
-        flat = 0
-        for idx, m in zip(indices, self.counts):
-            if not 0 <= idx < m:
-                raise ValueError(f"interval index {idx} out of range [0, {m})")
-            flat = flat * m + idx
-        return flat
 
     def decode(self, flat: int) -> tuple[int, ...]:
         """Per-dimension interval indices from a flat cell index."""
@@ -225,11 +216,7 @@ def locate(partition: Partition, point: Sequence[float]) -> int:
         raise ValueError(
             f"point {np.asarray(point, dtype=np.float64).tolist()} has a non-finite coordinate"
         )
-    idx = []
-    for x, e, m in zip(point, partition.edges, partition.counts):
-        i = int(np.searchsorted(e, x, side="right")) - 1
-        idx.append(min(max(i, 0), m - 1))
-    return partition.encode(idx)
+    return int(locate_many(partition, np.asarray(point, dtype=np.float64)[None, :])[0])
 
 
 def _checked_points(partition: Partition, points) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .activation import ActivationKind
 from .ioutil import atomic_write_text
-from .model import LocalPairNet, PairNetModel, scope_boxes
+from .model import MAX_DIM, LocalPairNet, PairNetModel
 from .partition import Partition
 
 __all__ = [
@@ -77,9 +77,7 @@ def _jsonable(value, field: str):
 
 def _local_entry(index: int, local: LocalPairNet) -> dict:
     entry = {"index": index, "alphas": _float_list(local.alphas, f"locals[{index}].alphas")}
-    if local.fallback_mean is not None:
-        if not np.isfinite(local.fallback_mean):
-            raise ValueError(f"locals[{index}].fallback_mean is non-finite")
+    if local.fallback_mean is not None:   # finite: LocalPairNet refuses anything else
         entry["fallback_mean"] = float(local.fallback_mean)
     else:
         entry["c"] = _float_list(local.c, f"locals[{index}].c")
@@ -89,9 +87,9 @@ def _local_entry(index: int, local: LocalPairNet) -> dict:
 
 def save_model(model: PairNetModel, path) -> None:
     """Write a model to a JSON file (atomically)."""
-    activation = {"tag": model.locals[0].activation.tag}
+    activation = {"tag": model.activation.tag}
     if activation["tag"] == "sigmoid":
-        activation["steepness"] = float(model.locals[0].activation.steepness)
+        activation["steepness"] = float(model.activation.steepness)
     doc = {
         "format_version": FORMAT_VERSION,
         "library_version": __version__,
@@ -151,7 +149,7 @@ def _parse_activation(raw, path) -> ActivationKind:
         raise ModelFormatError(f"{path}: activation: {exc}") from None
 
 
-def _parse_local(raw, j: int, box, activation: ActivationKind, n: int, path) -> LocalPairNet:
+def _parse_local(raw, j: int, n: int, path) -> LocalPairNet:
     field = f"locals[{j}]"
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: {field} must be an object, got {raw!r}")
@@ -175,10 +173,7 @@ def _parse_local(raw, j: int, box, activation: ActivationKind, n: int, path) -> 
         c = _as_float_list(_require(raw, "c", path), f"{field}.c", path)
         gamma = _as_float_list(_require(raw, "gamma", path), f"{field}.gamma", path)
     try:
-        return LocalPairNet(
-            n=n, alphas=alphas, c=c, gamma=gamma,
-            subspace=box, activation=activation, fallback_mean=fallback,
-        )
+        return LocalPairNet(alphas, c, gamma, fallback)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {field}: {exc}") from None
 
@@ -215,10 +210,10 @@ def load_model(path) -> PairNetModel:
         )
 
     n = _as_int(_require(doc, "n", path), "n", path)
+    if not 1 <= n <= MAX_DIM:   # before any 2^n-long parameter list is built
+        raise ModelFormatError(f"{path}: n must lie in [1, {MAX_DIM}], got {n}")
     activation = _parse_activation(_require(doc, "activation", path), path)
-    scope = _require(doc, "activation_scope", path)
-    if scope not in ("subspace", "domain"):
-        raise ModelFormatError(f"{path}: unknown activation_scope {scope!r}")
+    scope = _require(doc, "activation_scope", path)   # PairNetModel checks it
 
     raw_edges = _require(doc, "partition_edges", path)
     if not isinstance(raw_edges, list) or len(raw_edges) != n:
@@ -239,10 +234,7 @@ def load_model(path) -> PairNetModel:
         raise ModelFormatError(
             f"{path}: {len(raw_locals)} locals for a partition of {partition.size} cells"
         )
-    locals_ = tuple(
-        _parse_local(raw, j, box, activation, n, path)
-        for j, (raw, box) in enumerate(zip(raw_locals, scope_boxes(partition, scope)))
-    )
+    locals_ = tuple(_parse_local(raw, j, n, path) for j, raw in enumerate(raw_locals))
 
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
@@ -251,7 +243,7 @@ def load_model(path) -> PairNetModel:
     try:
         return PairNetModel(
             partition=partition, locals=locals_, activation_scope=scope,
-            provenance=dict(provenance),
+            activation=activation, provenance=dict(provenance),
         )
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

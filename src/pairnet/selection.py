@@ -160,8 +160,7 @@ def select_model(dataset: Dataset, config: SelectionConfig):
         fit_set = eval_set = dataset
 
     entries = []
-    fitted = {}
-    last_error = None
+    best_model = last_error = None   # training mode keeps the best fit so far
     for t in range(config.candidates + 1):
         part = random_partition(
             dataset.domain, config.count_range, substream(config.seed, PARTITION_STREAM, t)
@@ -182,7 +181,9 @@ def select_model(dataset: Dataset, config: SelectionConfig):
                 eval_mse=mse(model, eval_set), train_mse=report.train_mse,
                 fit_seconds=report.fit_seconds,
             ))
-            fitted[t] = model
+            if config.eval_mode == "training" and (
+                    best_model is None or entries[-1].eval_mse < best_mse):
+                best_model, best_mse = model, entries[-1].eval_mse
         except Exception as exc:  # noqa: BLE001 - candidate failures are data
             last_error = exc
     if not entries:
@@ -200,7 +201,6 @@ def select_model(dataset: Dataset, config: SelectionConfig):
         best_model, _ = fit(dataset, winner.partition, fit_cfg)
         refit_seconds = time.perf_counter() - t0
     else:
-        best_model = fitted[winner.candidate]
         refit_seconds = 0.0
 
     # Provenance travels with the saved model, so it holds only facts that

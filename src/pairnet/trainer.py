@@ -47,9 +47,9 @@ from .model import (
     _prediction_tables,
     _quadratic_basis,
     _quadratic_map,
+    cell_boxes,
     feature_matrix,  # noqa: F401 - perfbench/tracing.py rebinds it here
     forward,
-    scope_boxes,
 )
 from .partition import Partition, route
 
@@ -217,8 +217,7 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
     X, y = np.take(dataset.X, order, axis=0), dataset.y[order]
     cell_of = np.repeat(np.arange(size), np.diff(bounds))
-    boxes = scope_boxes(partition, config.activation_scope)
-    lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in boxes]).T   # (n, M) each
+    lo, hi = cell_boxes(partition, config.activation_scope)
 
     # Cells are solved in the reduced rows C = B R^T and lifted by Q
     # (see the module docstring).
@@ -245,18 +244,14 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
     locals_, cells = [], []
     for j, diag in enumerate(diags):
-        locals_.append(LocalPairNet(
-            n=n, alphas=alphas, c=params[j, :m], gamma=params[j, m:], subspace=boxes[j],
-            activation=config.activation, fallback_mean=None if diag else float(fallback[j]),
-        ))
-        if diag is None:
-            cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), True, None, 0, None))
-        else:
-            cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), False, diag.ridge,
-                                     diag.escalations, diag.residual))
+        locals_.append(LocalPairNet(alphas, params[j, :m], params[j, m:],
+                                    None if diag else float(fallback[j])))
+        solved = (diag.ridge, diag.escalations, diag.residual) if diag else (None, 0, None)
+        cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), diag is None, *solved))
 
     model = PairNetModel(
         partition=partition, locals=tuple(locals_), activation_scope=config.activation_scope,
+        activation=config.activation,
         # Only the recipe goes in: provenance is serialized with the model,
         # and equal-seed runs must produce byte-identical files, so wall
         # clock stays on the report.

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import as_box
 from pairnet.linsolve import SolveDiagnostics, solve_spd
 from pairnet.model import LocalPairNet, PairNetModel, feature_matrix, local_forward
 from pairnet.partition import route
@@ -33,10 +34,8 @@ _CHUNK_ROWS = 4096
 def _solve_cell(X, y, box, config):
     n = X.shape[1]
     threshold = min_rows_threshold(n)
-    probe = LocalPairNet(
-        n=n, alphas=np.asarray(config.alphas), c=np.zeros(2**n), gamma=np.zeros(2**n),
-        subspace=tuple(box), activation=config.activation,
-    )
+    probe = LocalPairNet(alphas=np.asarray(config.alphas), c=np.zeros(2**n),
+                         gamma=np.zeros(2**n))
     if len(y) < threshold:
         if config.min_rows_policy == "error":
             raise InsufficientDataError(
@@ -47,11 +46,12 @@ def _solve_cell(X, y, box, config):
     G = np.zeros((d, d))
     r = np.zeros(d)
     for start in range(0, len(y), _CHUNK_ROWS):
-        phi = feature_matrix(probe, X[start:start + _CHUNK_ROWS])
+        phi = feature_matrix(probe, X[start:start + _CHUNK_ROWS], box, config.activation)
         G += phi.T @ phi
         r += phi.T @ y[start:start + _CHUNK_ROWS]
     if config.ridge == 0.0:
-        p = np.linalg.lstsq(feature_matrix(probe, X), y, rcond=None)[0]
+        p = np.linalg.lstsq(feature_matrix(probe, X, box, config.activation), y,
+                            rcond=None)[0]
         diag = SolveDiagnostics(ridge=0.0, escalations=0,
                                 residual=float(np.linalg.norm(G @ p - r)))
     else:
@@ -64,13 +64,14 @@ def reference_fit(dataset, partition, config):
     pred = np.empty(len(dataset))
     locals_, cells = [], []
     for j, rows in enumerate(route(partition, dataset)):
-        box = partition.cell(j) if config.activation_scope == "subspace" else partition.domain
+        box = as_box(partition.cell(j) if config.activation_scope == "subspace"
+                     else partition.domain)
         X, y = dataset.X[rows], dataset.y[rows]
         try:
             local, diag = _solve_cell(X, y, box, config)
         except Exception as exc:
             raise SubspaceFitError(f"subspace {j} {partition.decode(j)}: {exc}") from exc
-        cell_pred = local_forward(local, X)
+        cell_pred = local_forward(local, X, box, config.activation)
         pred[rows] = cell_pred
         sse = float(np.sum((y - cell_pred) ** 2))
         if diag is None:
@@ -80,6 +81,6 @@ def reference_fit(dataset, partition, config):
                                      diag.residual))
         locals_.append(local)
     model = PairNetModel(partition=partition, locals=tuple(locals_),
-                         activation_scope=config.activation_scope)
+                         activation_scope=config.activation_scope, activation=config.activation)
     train_mse = float(np.sum((dataset.y - pred) ** 2)) / len(dataset)
     return model, FitReport(subspaces=tuple(cells), train_mse=train_mse, fit_seconds=0.0)

@@ -30,13 +30,15 @@ def naive_activation(x: float, lo: float, hi: float, kind) -> float:
     return min(max(g, 0.0), 1.0)
 
 
-def naive_local_forward(local, x) -> float:
-    """One cell's network at one point, layer by layer."""
+def naive_local_forward(local, x, box, activation) -> float:
+    """One cell's network at one point, layer by layer, with activations
+    over box = (lo, hi)."""
     if local.fallback_mean is not None:
         return float(local.fallback_mean)
     n = local.n
-    g = [naive_activation(float(x[i]), iv.lo, iv.hi, local.activation)
-         for i, iv in enumerate(local.subspace)]
+    lo, hi = box
+    g = [naive_activation(float(x[i]), float(lo[i]), float(hi[i]), activation)
+         for i in range(n)]
     y = 0.0
     for k in range(2**n):
         w_k = 0.0
@@ -62,5 +64,10 @@ def naive_locate(partition, x) -> int:
 
 
 def naive_forward(model, x) -> float:
-    """The model at one point: route it, then evaluate its cell."""
-    return naive_local_forward(model.locals[naive_locate(model.partition, x)], x)
+    """The model at one point: route it, then evaluate its cell over the
+    cell's box (subspace scope) or the partition's domain."""
+    j = naive_locate(model.partition, x)
+    part = model.partition
+    box = part.cell(j) if model.activation_scope == "subspace" else part.domain
+    lo, hi = [iv.lo for iv in box], [iv.hi for iv in box]
+    return naive_local_forward(model.locals[j], x, (lo, hi), model.activation)

@@ -3,12 +3,19 @@
 Each dimension's interval is the clamped searchsorted(e, x, "right") - 1,
 and the per-dimension indices are combined by np.ravel_multi_index, so
 it shares no arithmetic with partition.locate_many, which counts the
-breakpoints each value reaches.
+breakpoints each value reaches. flat_index is the same combination for
+one cell's indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def flat_index(partition, indices) -> int:
+    """Flat cell index of per-dimension interval indices, dimension 0
+    the most significant digit."""
+    return int(np.ravel_multi_index(tuple(indices), partition.counts))
 
 
 def searchsorted_locate_many(partition, points: np.ndarray) -> np.ndarray:

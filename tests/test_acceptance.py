@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import sample_box
+from conftest import as_box, default_box, sample_box
 
 from pairnet.activation import LINEAR
 from pairnet.baseline_mlp import MLPConfig, loss_and_grads, mlp_train
@@ -77,10 +77,11 @@ def test_2_first_order_optimality(verdict, benchmarks):
     worst_ratio = 0.0
     for j, local in enumerate(model.locals):
         X, y = train.X[groups[j]], train.y[groups[j]]
+        box = as_box(part.cell(j))
 
         def objective(c, gamma):
             probe = dataclasses.replace(local, c=c, gamma=gamma)
-            resid = local_forward(probe, X) - y
+            resid = local_forward(probe, X, box) - y
             return float(resid @ resid)
 
         q0 = objective(local.c, local.gamma)
@@ -125,8 +126,7 @@ def _gd_predictions(Phi, y, max_iter=300_000):
 def test_3_oracle_equivalence(verdict):
     box = (Interval(0.5, 2.0), Interval(1.0, 3.0))
     alphas = (0.4, 0.6)
-    probe = LocalPairNet(n=2, alphas=alphas, c=np.zeros(4), gamma=np.zeros(4),
-                         subspace=box, activation=LINEAR)
+    probe = LocalPairNet(alphas=alphas, c=np.zeros(4), gamma=np.zeros(4))
     worst_gd = worst_pinv = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -135,7 +135,7 @@ def test_3_oracle_equivalence(verdict):
         model, _ = fit(Dataset(X, y, box), uniform_partition(box, (1, 1)),
                        FitConfig(alphas=alphas))
         closed = forward(model, X)
-        Phi = feature_matrix(probe, X)
+        Phi = feature_matrix(probe, X, as_box(box), LINEAR)
         gd = _gd_predictions(Phi, y)
         pinv = Phi @ (np.linalg.pinv(Phi) @ y)
         worst_gd = max(worst_gd, float(np.sqrt(np.mean((closed - gd) ** 2))))
@@ -148,14 +148,14 @@ def test_3_oracle_equivalence(verdict):
 
 def test_4_exact_recovery(verdict, make_local):
     truth = make_local(n=3, seed=9)
-    box = truth.subspace
+    box = default_box(3)
     X = sample_box(box, 200, seed=10)
     held_out = sample_box(box, 200, seed=11)
-    model, _ = fit(Dataset(X, local_forward(truth, X), box),
+    model, _ = fit(Dataset(X, local_forward(truth, X, as_box(box)), box),
                    uniform_partition(box, (1, 1, 1)),
                    FitConfig(alphas=tuple(truth.alphas)))
     rms = float(np.sqrt(np.mean(
-        (forward(model, held_out) - local_forward(truth, held_out)) ** 2)))
+        (forward(model, held_out) - local_forward(truth, held_out, as_box(box))) ** 2)))
     verdict(4, rms <= 1e-8, f"exact recovery: held-out RMS {rms:.2e} (<= 1e-8)")
 
 

@@ -16,7 +16,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REMOVED = {
     "activation": ("pair_activation",),
     "baseline_mlp": ("history_to_csv",),
-    "model": ("layer2_weights", "betas", "feature_row"),
+    "model": ("layer2_weights", "betas", "feature_row", "scope_boxes"),
 }
 MODULE_ONLY = {
     "baseline_mlp": ("loss_and_grads",),
@@ -41,6 +41,12 @@ def test_solver_internals_not_exported():
         assert name not in pairnet.__all__
         assert not hasattr(pairnet, name)
     assert "SingularSystemError" in pairnet.__all__
+
+
+def test_partition_encode_is_gone():
+    """Routing has one implementation, locate_many; decode stays."""
+    assert not hasattr(pairnet.Partition, "encode")
+    assert callable(pairnet.Partition.decode)
 
 
 def test_export_count():

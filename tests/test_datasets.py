@@ -1,5 +1,6 @@
 """Benchmark functions, their exact grids, and lossless CSV round trips."""
 
+import re
 import warnings
 
 import numpy as np
@@ -169,6 +170,17 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text(f"x1,x2,y\n0.0,{value!r},0.0\n1.0,{value!r},0.0\n")
         with pytest.raises(CsvFormatError, match="column x2: every value is"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-1.7976931348623157e308, 1e300)])
+    def test_column_whose_width_overflows_refused(self, tmp_path, lo, hi):
+        """Both ends are finite but max - min is not: the domain is refused
+        as a CsvFormatError naming the column, not as a NaN breakpoint
+        when the data is later partitioned."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,x2,y\n0.0,{lo!r},0.0\n1.0,{hi!r},0.0\n")
+        want = f"column x2: interval ends and width must be finite: [{lo!r}, {hi!r}]"
+        with pytest.raises(CsvFormatError, match=re.escape(want)):
             read_csv(path)
 
     def test_bad_header(self, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_box
+from conftest import as_box, default_box, sample_box
 from pairnet.activation import LINEAR, ActivationKind, activate
 from pairnet.model import (
     _FORWARD_ROWS,
@@ -29,11 +29,12 @@ from pairnet.model import (
     _quadratic_map,
     _stacked,
     block_rows,
+    cell_boxes,
     feature_matrix,
     forward,
     local_forward,
 )
-from pairnet.partition import Interval, locate_many, uniform_partition
+from pairnet.partition import Interval, locate_many, random_partition, uniform_partition
 from reference_forward import naive_forward, naive_local_forward
 
 
@@ -43,9 +44,8 @@ def _fusion_weights(g, alphas):
     where the linear activation is the identity."""
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     n = g.shape[1]
-    local = LocalPairNet(n=n, alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n),
-                         subspace=(Interval(0.0, 1.0),) * n)
-    return feature_matrix(local, g)[:, :2**n] * 2.0 ** (n - 1)
+    local = LocalPairNet(alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n))
+    return feature_matrix(local, g, (np.zeros(n), np.ones(n)))[:, :2**n] * 2.0 ** (n - 1)
 
 
 class TestLayer2Weights:
@@ -91,15 +91,14 @@ class TestLayer2Weights:
             _fusion_weights([0.5], [0.9])
         with pytest.raises(ValueError, match="lie in"):
             _fusion_weights([0.5, 0.5], [-0.5, 1.5])
-        with pytest.raises(ValueError, match=r"alphas must have shape \(2,\)"):
-            _fusion_weights([0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match="c must have length 2"):
+            _fusion_weights([0.5, 0.5], [1.0])   # one alpha for two inputs
 
 
 class TestBetas:
     def test_worked_example(self):
-        local = LocalPairNet(n=2, alphas=[0.5, 0.5], c=np.zeros(4), gamma=np.zeros(4),
-                             subspace=(Interval(0.0, 1.0),) * 2)
-        b = feature_matrix(local, np.array([[0.8, 0.6]]))[0, :4]
+        local = LocalPairNet(alphas=[0.5, 0.5], c=np.zeros(4), gamma=np.zeros(4))
+        b = feature_matrix(local, np.array([[0.8, 0.6]]), (np.zeros(2), np.ones(2)))[0, :4]
         np.testing.assert_allclose(b, [0.35, 0.3, 0.2, 0.15])
 
     @given(n=st.integers(1, 5), seed=st.integers(0, 10**6))
@@ -119,12 +118,20 @@ class TestLocalPairNet:
             dataclasses.replace(good, c=np.zeros(3))
         with pytest.raises(ValueError, match="gamma must have length 4"):
             dataclasses.replace(good, gamma=np.zeros(8))
-        with pytest.raises(ValueError, match="subspace"):
-            dataclasses.replace(good, subspace=(Interval(0, 1),))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            dataclasses.replace(good, alphas=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="unsupported"):
             make_local(n=MAX_DIM + 1)
         with pytest.raises(ValueError, match="fallback_mean must be finite"):
             dataclasses.replace(good, fallback_mean=float("nan"))
+
+    def test_fields_are_the_cell_numbers(self, make_local):
+        """A local holds its numbers only; its n is the alphas' length."""
+        assert [f.name for f in dataclasses.fields(LocalPairNet)] == [
+            "alphas", "c", "gamma", "fallback_mean"]
+        assert make_local(n=3).n == 3
+        local = LocalPairNet([0.25, 0.75], np.zeros(4), np.ones(4), 1.5)
+        assert (local.n, local.fallback_mean) == (2, 1.5)
 
     def test_params_stacking(self, make_local):
         local = make_local(n=2)
@@ -143,12 +150,12 @@ class TestLocalPairNet:
 class TestFeaturesAndForward:
     def test_two_path_evaluation(self, make_local, rng):
         """phi . [c; gamma] equals the direct sum of beta_k (c_k + theta_k gamma_k)."""
-        local = make_local(n=3, seed=5)
-        X = sample_box(local.subspace, 40, seed=6)
-        phi = feature_matrix(local, X)
+        local, box = make_local(n=3, seed=5), default_box(3)
+        X = sample_box(box, 40, seed=6)
+        phi = feature_matrix(local, X, as_box(box))
         fast = phi @ local.params
-        g = np.stack([activate(X[:, i], iv.lo, iv.hi, local.activation)
-                      for i, iv in enumerate(local.subspace)], axis=-1)
+        g = np.stack([activate(X[:, i], iv.lo, iv.hi, LINEAR)
+                      for i, iv in enumerate(box)], axis=-1)
         bits = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1   # (2^n, n)
         w = np.where(bits, 1.0 - g[:, None, :], g[:, None, :]) @ local.alphas
         b = w / 4.0
@@ -159,23 +166,25 @@ class TestFeaturesAndForward:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_pipeline_transcription(self, make_local, n):
-        local = make_local(n=n, seed=n + 10)
-        X = sample_box(local.subspace, 25, seed=n)
-        out = local_forward(local, X)
-        naive = [naive_local_forward(local, x) for x in X]
+        local, box = make_local(n=n, seed=n + 10), default_box(n)
+        X = sample_box(box, 25, seed=n)
+        out = local_forward(local, X, as_box(box))
+        naive = [naive_local_forward(local, x, as_box(box), LINEAR) for x in X]
         np.testing.assert_allclose(out, naive, rtol=1e-12, atol=1e-12)
 
     def test_sigmoid_kind_also_transcribes(self, make_local):
-        local = make_local(n=2, seed=3, activation=ActivationKind("sigmoid", 6.0))
-        X = sample_box(local.subspace, 25, seed=9)
-        naive = [naive_local_forward(local, x) for x in X]
-        np.testing.assert_allclose(local_forward(local, X), naive, rtol=1e-12, atol=1e-12)
+        local, kind = make_local(n=2, seed=3), ActivationKind("sigmoid", 6.0)
+        box = as_box(default_box(2))
+        X = sample_box(default_box(2), 25, seed=9)
+        naive = [naive_local_forward(local, x, box, kind) for x in X]
+        np.testing.assert_allclose(local_forward(local, X, box, kind), naive,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_batch_equals_scalar(self, make_local):
-        local = make_local(n=2, seed=8)
-        X = sample_box(local.subspace, 30, seed=4)
-        batch = local_forward(local, X)
-        singles = [local_forward(local, x) for x in X]
+        local, box = make_local(n=2, seed=8), as_box(default_box(2))
+        X = sample_box(default_box(2), 30, seed=4)
+        batch = local_forward(local, X, box)
+        singles = [local_forward(local, x, box) for x in X]
         np.testing.assert_array_equal(batch, singles)
 
     @settings(max_examples=30, deadline=None)
@@ -187,42 +196,45 @@ class TestFeaturesAndForward:
         block boundaries and for points outside the box."""
         gen = np.random.default_rng(seed)
         box = tuple(Interval(float(i), float(i) + gen.uniform(0.5, 3.0)) for i in range(n))
-        local = LocalPairNet(n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
-                             gamma=gen.normal(size=2**n), subspace=box,
-                             activation=ActivationKind(tag))
+        local = LocalPairNet(alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+                             gamma=gen.normal(size=2**n))
         X = np.column_stack([gen.uniform(iv.lo - 0.5, iv.hi + 0.5, rows) for iv in box])
-        full = local_forward(local, X)
+        box, kind = as_box(box), ActivationKind(tag)
+        full = local_forward(local, X, box, kind)
         perm = gen.permutation(rows)
-        np.testing.assert_array_equal(local_forward(local, X[perm]), full[perm])
+        np.testing.assert_array_equal(local_forward(local, X[perm], box, kind), full[perm])
         a, b = sorted(gen.integers(0, rows + 1, size=2))
-        np.testing.assert_array_equal(local_forward(local, X[a:b]), full[a:b])
+        np.testing.assert_array_equal(local_forward(local, X[a:b], box, kind), full[a:b])
         for i in gen.choice(rows, size=min(rows, 5), replace=False):
-            assert local_forward(local, X[i]) == full[i]
+            assert local_forward(local, X[i], box, kind) == full[i]
 
     def test_output_linear_in_params(self, make_local):
         """f is affine-free and linear in the stacked [c; gamma]."""
         a = make_local(n=2, seed=1)
-        b = make_local(n=2, seed=2, subspace=a.subspace)
-        X = sample_box(a.subspace, 20, seed=7)
+        b = make_local(n=2, seed=2)
+        box = as_box(default_box(2))
+        X = sample_box(default_box(2), 20, seed=7)
         combo = dataclasses.replace(a, c=2.0 * a.c - 3.0 * b.c,
                                     gamma=2.0 * a.gamma - 3.0 * b.gamma)
         b_aligned = dataclasses.replace(b, alphas=a.alphas)
-        expected = 2.0 * local_forward(a, X) - 3.0 * local_forward(b_aligned, X)
-        np.testing.assert_allclose(local_forward(combo, X), expected, rtol=1e-12, atol=1e-12)
+        expected = 2.0 * local_forward(a, X, box) - 3.0 * local_forward(b_aligned, X, box)
+        np.testing.assert_allclose(local_forward(combo, X, box), expected,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_pure_c_output_is_convex_combination(self, make_local):
         local = make_local(n=3, seed=11)
         local = dataclasses.replace(local, gamma=np.zeros(8))
-        X = sample_box(local.subspace, 100, seed=12)
-        out = local_forward(local, X)
+        X = sample_box(default_box(3), 100, seed=12)
+        out = local_forward(local, X, as_box(default_box(3)))
         assert np.all(out >= local.c.min() - 1e-12)
         assert np.all(out <= local.c.max() + 1e-12)
 
     def test_fallback_mean_is_constant(self, make_local):
         local = make_local(n=2, seed=1, fallback_mean=4.25)
-        X = sample_box(local.subspace, 10, seed=2)
-        np.testing.assert_array_equal(local_forward(local, X), np.full(10, 4.25))
-        assert local_forward(local, X[0]) == 4.25
+        box = as_box(default_box(2))
+        X = sample_box(default_box(2), 10, seed=2)
+        np.testing.assert_array_equal(local_forward(local, X, box), np.full(10, 4.25))
+        assert local_forward(local, X[0], box) == 4.25
 
 
 class TestPairNetModel:
@@ -230,13 +242,8 @@ class TestPairNetModel:
         box = (Interval(0.0, 4.0), Interval(-1.0, 1.0))
         part = uniform_partition(box, counts)
         gen = np.random.default_rng(seed)
-        locs = []
-        for j in range(part.size):
-            sub = part.cell(j) if scope == "subspace" else part.domain
-            locs.append(LocalPairNet(
-                n=2, alphas=gen.dirichlet(np.ones(2)), c=gen.normal(size=4),
-                gamma=gen.normal(size=4), subspace=sub,
-            ))
+        locs = [LocalPairNet(alphas=gen.dirichlet(np.ones(2)), c=gen.normal(size=4),
+                             gamma=gen.normal(size=4)) for _ in range(part.size)]
         return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope)
 
     def test_locals_cannot_change_under_a_cached_model(self):
@@ -257,9 +264,10 @@ class TestPairNetModel:
     def test_forward_routes_to_owning_cell(self):
         model = self._model()
         x = np.array([0.5, -0.5])  # cell (0, 0)
-        assert forward(model, x) == local_forward(model.locals[0], x)
+        part = model.partition
+        assert forward(model, x) == local_forward(model.locals[0], x, as_box(part.cell(0)))
         x = np.array([3.5, 0.5])   # cell (1, 1) -> flat 3
-        assert forward(model, x) == local_forward(model.locals[3], x)
+        assert forward(model, x) == local_forward(model.locals[3], x, as_box(part.cell(3)))
 
     def test_batch_forward_matches_per_point(self, rng):
         """Per-point forward is the reference for the grouped batch path,
@@ -306,10 +314,11 @@ class TestPairNetModel:
         for j, loc in enumerate(model.locals):
             mine = cells == j
             assert len(np.unique(np.flatnonzero(mine) // _FORWARD_ROWS)) == 3
-            want[mine] = local_forward(loc, X[mine])
+            want[mine] = local_forward(loc, X[mine], as_box(model.partition.cell(j)))
         np.testing.assert_array_equal(out, want)
         for i in (0, _FORWARD_ROWS - 1, _FORWARD_ROWS, 2 * _FORWARD_ROWS, rows - 1):
-            assert out[i] == local_forward(model.locals[cells[i]], X[i])
+            box = as_box(model.partition.cell(cells[i]))
+            assert out[i] == local_forward(model.locals[cells[i]], X[i], box)
 
     def test_non_finite_row_is_named_across_blocks(self):
         model = self._model()
@@ -324,8 +333,7 @@ class TestPairNetModel:
         part = uniform_partition((Interval(1.0, 20.0),) * 3, (4, 4, 4))
         gen = np.random.default_rng(64)
         model = PairNetModel(partition=part, locals=tuple(
-            LocalPairNet(n=3, alphas=np.full(3, 1 / 3), c=gen.normal(size=8),
-                         gamma=gen.normal(size=8), subspace=part.cell(j))
+            LocalPairNet(alphas=np.full(3, 1 / 3), c=gen.normal(size=8), gamma=gen.normal(size=8))
             for j in range(part.size)))
         X = gen.uniform(1.0, 20.0, size=(400_000, 3))
         forward(model, X[:10])   # builds the cached tables outside the measurement
@@ -342,18 +350,39 @@ class TestPairNetModel:
         with pytest.raises(ValueError, match="locals"):
             PairNetModel(partition=model.partition, locals=model.locals[:3])
 
+    def test_local_dimension_must_match(self, make_local):
+        model = self._model()
+        locs = model.locals[:2] + (make_local(n=3),) + model.locals[3:]
+        with pytest.raises(ValueError, match="local 2 has 3 inputs, partition has 2"):
+            PairNetModel(partition=model.partition, locals=locs)
+
     def test_scope_mismatch_rejected(self):
         model = self._model()
-        with pytest.raises(ValueError, match="does not match"):
-            PairNetModel(partition=model.partition, locals=model.locals,
-                         activation_scope="domain")
-        with pytest.raises(ValueError, match="unknown activation scope"):
+        with pytest.raises(ValueError, match="unknown activation_scope"):
             PairNetModel(partition=model.partition, locals=model.locals,
                          activation_scope="global")
 
     def test_domain_scope_accepts_shared_box(self):
         model = self._model(scope="domain")
-        assert all(loc.subspace == model.partition.domain for loc in model.locals)
+        lo, hi = cell_boxes(model.partition, model.activation_scope)
+        assert lo.shape == hi.shape == (2, 4)
+        assert lo.T.tolist() == [[0.0, -1.0]] * 4 and hi.T.tolist() == [[4.0, 1.0]] * 4
+        domain = as_box(model.partition.domain)
+        for j in range(4):
+            np.testing.assert_array_equal(lo[:, j], domain[0])
+            np.testing.assert_array_equal(hi[:, j], domain[1])
+
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=3), seed=st.integers(0, 99))
+    def test_cell_boxes_are_the_cells(self, counts, seed):
+        """Column j of the subspace boxes is cell j's intervals, in flat
+        order, bitwise."""
+        part = random_partition(tuple(Interval(-1.0, 2.0) for _ in counts),
+                                [(m, m) for m in counts], seed)
+        lo, hi = cell_boxes(part, "subspace")
+        assert lo.shape == hi.shape == (len(counts), part.size)
+        for j in range(part.size):
+            assert [tuple(ends) for ends in zip(lo[:, j], hi[:, j])] == [
+                (iv.lo, iv.hi) for iv in part.cell(j)]
 
     def test_equality_ignores_provenance(self):
         a = self._model(seed=9)
@@ -362,14 +391,18 @@ class TestPairNetModel:
         c = self._model(seed=10)
         assert a != c
 
-    def test_mixed_activations_rejected(self):
-        """One activation per model: save_model writes local 0's for every
-        cell, so a mixed model would reload as a different model."""
+    def test_one_activation_per_model(self):
+        """The model holds the one activation every cell uses: it defaults
+        to linear, takes part in equality and changes the predictions."""
         model = self._model()
-        locs = list(model.locals)
-        locs[2] = dataclasses.replace(locs[2], activation=ActivationKind("sigmoid"))
-        with pytest.raises(ValueError, match=r"local 2: activation .* differs from local 0's"):
-            PairNetModel(partition=model.partition, locals=tuple(locs))
+        assert model.activation == LINEAR
+        assert [f.name for f in dataclasses.fields(PairNetModel)][2:4] == [
+            "activation_scope", "activation"]
+        sigmoid = dataclasses.replace(model, activation=ActivationKind("sigmoid"))
+        assert sigmoid != model
+        x = np.array([0.7, -0.2])
+        assert forward(sigmoid, x) != forward(model, x)
+        assert forward(sigmoid, x) == pytest.approx(naive_forward(sigmoid, x), rel=1e-12)
 
     def test_equality_compares_every_cell(self):
         a = self._model(seed=9)
@@ -401,9 +434,8 @@ class TestQuadraticBasis:
             alphas[1:] *= (1.0 - a0) / alphas[1:].sum()
             alphas[0] = a0
         box = tuple(Interval(-1.0, 1.0 + i) for i in range(n))
-        local = LocalPairNet(n=n, alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n),
-                             subspace=box, activation=ActivationKind(tag))
-        lo, hi = np.array([(iv.lo, iv.hi) for iv in box]).T
+        local = LocalPairNet(alphas=alphas, c=np.zeros(2**n), gamma=np.zeros(2**n))
+        lo, hi = as_box(box)
         # A margin around the box puts rows outside it, where g saturates.
         X = gen.uniform(lo - 1.0, hi + 1.0, size=(300, n))
         T, support = _quadratic_map(alphas)
@@ -416,7 +448,8 @@ class TestQuadraticBasis:
         assert np.linalg.matrix_rank(T / np.linalg.norm(T, axis=1, keepdims=True)) == d
         g = activate(X.T[support], lo[support, None], hi[support, None], ActivationKind(tag))
         np.testing.assert_allclose(_quadratic_basis(g, alphas[support]) @ T,
-                                   feature_matrix(local, X), rtol=0, atol=1e-15)
+                                   feature_matrix(local, X, (lo, hi), ActivationKind(tag)),
+                                   rtol=0, atol=1e-15)
 
 
 def _reference_case_model(gen, n, counts, scope, tag):
@@ -428,12 +461,12 @@ def _reference_case_model(gen, n, counts, scope, tag):
     locs = []
     for j in range(part.size):
         locs.append(LocalPairNet(
-            n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+            alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
             gamma=gen.normal(size=2**n),
-            subspace=part.cell(j) if scope == "subspace" else part.domain, activation=kind,
             fallback_mean=float(gen.normal()) if gen.uniform() < 0.25 else None,
         ))
-    return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope)
+    return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope,
+                        activation=kind)
 
 
 class TestForwardMatchesReference:
@@ -471,11 +504,12 @@ class TestForwardMatchesReference:
         gen = np.random.default_rng(17)
         model = _reference_case_model(gen, 3, (1, 1, 1), "subspace", tag)
         local = dataclasses.replace(model.locals[0], fallback_mean=None)
-        box = local.subspace
+        box = model.partition.cell(0)
         X = np.column_stack([gen.uniform(iv.lo - 0.5, iv.hi + 0.5, block_rows(3) + 99)
                              for iv in box])
-        want = [naive_local_forward(local, x) for x in X]
-        np.testing.assert_allclose(local_forward(local, X), want, rtol=1e-12, atol=1e-12)
+        want = [naive_local_forward(local, x, as_box(box), model.activation) for x in X]
+        np.testing.assert_allclose(local_forward(local, X, as_box(box), model.activation), want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def _kernel_case_model(n, a0, tag, seed):
@@ -493,11 +527,10 @@ def _kernel_case_model(n, a0, tag, seed):
             alphas[1:] *= (1.0 - a0) / alphas[1:].sum()
             alphas[0] = a0
         locs.append(LocalPairNet(
-            n=n, alphas=alphas, c=10.0 * gen.normal(size=2**n),
-            gamma=10.0 * gen.normal(size=2**n), subspace=part.cell(j), activation=kind,
+            alphas=alphas, c=10.0 * gen.normal(size=2**n), gamma=10.0 * gen.normal(size=2**n),
             fallback_mean=float(gen.normal()) if j == 1 else None,
         ))
-    return PairNetModel(partition=part, locals=tuple(locs)), gen
+    return PairNetModel(partition=part, locals=tuple(locs), activation=kind), gen
 
 
 class TestPredictionKernel:
@@ -518,10 +551,11 @@ class TestPredictionKernel:
         want = np.empty(len(X))
         for j, loc in enumerate(model.locals):
             rows = cells == j
-            want[rows] = (feature_matrix(loc, X[rows]) @ loc.params
+            box = as_box(part.cell(j))
+            want[rows] = (feature_matrix(loc, X[rows], box, model.activation) @ loc.params
                           if loc.fallback_mean is None else loc.fallback_mean)
-            np.testing.assert_allclose(local_forward(loc, X[rows]), want[rows],
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(local_forward(loc, X[rows], box, model.activation),
+                                       want[rows], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(forward(model, X), want, rtol=1e-12, atol=1e-12)
 
     def test_coefficients_do_not_depend_on_the_table(self):
@@ -530,11 +564,14 @@ class TestPredictionKernel:
         model, _ = _kernel_case_model(3, 0.0, "linear", seed=5)
         shared = dataclasses.replace(model.locals[0], c=model.locals[0].c[::-1].copy())
         locs = model.locals + (shared,)
-        many = _prediction_tables(*_stacked(locs))[3]
+        def b_table(cells):   # b does not depend on the boxes
+            return _prediction_tables(np.zeros((3, len(cells))), np.ones((3, len(cells))),
+                                      *_stacked(cells))[3]
+
+        many = b_table(locs)
         assert many.shape == (2 + 3 * 4 // 2, len(locs))
         for j, loc in enumerate(locs):
-            np.testing.assert_array_equal(_prediction_tables(*_stacked([loc]))[3][:, 0],
-                                          many[:, j])
+            np.testing.assert_array_equal(b_table([loc])[:, 0], many[:, j])
 
     @pytest.mark.parametrize("width", range(1, 41))
     def test_fixed_sum_adds_every_row(self, width):
@@ -550,16 +587,16 @@ class TestPredictionKernel:
         the coefficients are built from blocks of terms instead."""
         n = 16
         gen = np.random.default_rng(16)
-        local = LocalPairNet(n=n, alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
-                             gamma=gen.normal(size=2**n),
-                             subspace=tuple(Interval(0.0, 1.0) for _ in range(n)))
+        local = LocalPairNet(alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+                             gamma=gen.normal(size=2**n))
+        box = (np.zeros(n), np.ones(n))
         X = gen.uniform(-0.5, 1.5, size=(20, n))
         tracemalloc.start()
         try:
-            out = local_forward(local, X)
+            out = local_forward(local, X, box)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32e6
-        np.testing.assert_allclose(out[:3], feature_matrix(local, X[:3]) @ local.params,
+        np.testing.assert_allclose(out[:3], feature_matrix(local, X[:3], box) @ local.params,
                                    rtol=1e-12, atol=1e-12)

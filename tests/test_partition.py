@@ -1,5 +1,8 @@
 """Partitions: tiling invariants, flat indexing, and point routing."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from pairnet.partition import (
     route,
     uniform_partition,
 )
-from reference_routing import searchsorted_locate_many
+from reference_routing import flat_index, searchsorted_locate_many
 
 BOX = (Interval(0.0, 10.0), Interval(-2.0, 2.0), Interval(1.0, 20.0))
 
@@ -33,6 +36,24 @@ class TestInterval:
     def test_degenerate_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="degenerate"):
             Interval(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.inf, math.inf),
+        (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308), (-1.7976931348623157e308, 1e300),
+    ])
+    def test_non_finite_end_or_width_rejected(self, lo, hi):
+        """A NaN or infinite end, or a width hi - lo past the float range,
+        is refused where the interval is made, naming both ends."""
+        want = f"interval ends and width must be finite: [{lo!r}, {hi!r}]"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Interval(lo, hi)
+
+    def test_wide_finite_interval_partitions(self):
+        iv = Interval(-8.0e307, 8.0e307)
+        assert iv.width == 2 * 8.0e307
+        edges = uniform_partition((iv,), (4,)).edges[0]
+        assert (edges[0], edges[-1]) == (-8.0e307, 8.0e307)
+        assert all(map(math.isfinite, edges))
 
 
 class TestPartitionStructure:
@@ -77,17 +98,19 @@ class TestFlatIndexing:
 
     def test_worked_example(self):
         part = uniform_partition(BOX[:2], (2, 3))
-        assert part.encode((1, 2)) == 1 * 3 + 2 == 5
         assert part.decode(5) == (1, 2)
-        assert part.encode((0, 0)) == 0
+        assert flat_index(part, (1, 2)) == 1 * 3 + 2 == 5
+        assert part.decode(0) == (0, 0)
         assert part.decode(part.size - 1) == (1, 2)
 
     @given(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5)),
            st.integers(0, 10**6))
-    def test_encode_decode_roundtrip(self, counts, raw):
+    def test_decode_round_trip(self, counts, raw):
         part = uniform_partition(BOX, counts)
         flat = raw % part.size
-        assert part.encode(part.decode(flat)) == flat
+        idx = part.decode(flat)
+        assert all(0 <= i < m for i, m in zip(idx, counts))
+        assert flat_index(part, idx) == flat
 
     def test_cell_matches_decode(self):
         part = uniform_partition(BOX, (2, 2, 2))
@@ -99,7 +122,7 @@ class TestFlatIndexing:
         with pytest.raises(ValueError):
             part.decode(8)
         with pytest.raises(ValueError):
-            part.encode((2, 0, 0))
+            part.decode(-1)
 
 
 class TestLocate:
@@ -132,7 +155,7 @@ class TestLocate:
                         hit = i
                         break
                 expected.append(hit)
-            assert locate(part, x) == part.encode(expected)
+            assert locate(part, x) == flat_index(part, expected)
 
     def test_locate_many_matches_per_point(self, rng):
         part = random_partition(BOX, (2, 6), rng)
@@ -149,7 +172,7 @@ class TestLocate:
         points[2, 1] = bad
         with pytest.raises(ValueError, match=r"row 2 has a non-finite coordinate"):
             locate_many(part, points)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"point \[5.0, .*, 10.0\] has a non-finite"):
             locate(part, points[2])
 
     def test_cells_are_built_once_in_flat_order(self):
@@ -164,7 +187,7 @@ class TestLocate:
 
     def test_dimension_mismatch(self):
         part = uniform_partition(BOX, (2, 2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="point has 2 dims, partition has 3"):
             locate(part, (1.0, 2.0))
         with pytest.raises(ValueError):
             locate_many(part, np.zeros((4, 2)))
@@ -211,7 +234,7 @@ class TestLocateManyMatchesSearch:
         zeros = np.array([0.0, -0.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0)])
         points = np.array([(a, b) for a in zeros for b in zeros])
         _assert_routes_like_search(part, points)
-        assert locate_many(part, points)[:2].tolist() == [part.encode((1, 2))] * 2
+        assert locate_many(part, points)[:2].tolist() == [flat_index(part, (1, 2))] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), m_max=st.integers(1, 80))

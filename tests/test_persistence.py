@@ -2,14 +2,17 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset, gen_train
-from pairnet.model import forward
-from pairnet.partition import uniform_partition
+from pairnet.model import LocalPairNet, PairNetModel, forward
+from pairnet.partition import Interval, random_partition, uniform_partition
 from pairnet.persistence import (
     FORMAT_VERSION,
     ModelFormatError,
@@ -79,16 +82,11 @@ class TestRoundTrip:
         assert again.read_bytes() == compact.read_bytes()
 
     def test_fallback_cells_survive(self, make_local, tmp_path):
-        from pairnet.activation import LINEAR
-        from pairnet.model import LocalPairNet, PairNetModel
-        from pairnet.partition import Interval
-
         part = uniform_partition((Interval(0, 2), Interval(0, 2)), (1, 2))
         locs = (
-            make_local(n=2, seed=1, subspace=part.cell(0)),
+            make_local(n=2, seed=1),
             # loader rebuilds fallback cells with zeroed parameters
-            LocalPairNet(n=2, alphas=(0.5, 0.5), c=np.zeros(4), gamma=np.zeros(4),
-                         subspace=part.cell(1), activation=LINEAR, fallback_mean=2.5),
+            LocalPairNet(alphas=(0.5, 0.5), c=np.zeros(4), gamma=np.zeros(4), fallback_mean=2.5),
         )
         model = PairNetModel(partition=part, locals=locs)
         path = tmp_path / "fb.json"
@@ -100,21 +98,16 @@ class TestRoundTrip:
         assert "c" not in entry and "gamma" not in entry
 
     def test_sigmoid_and_domain_scope_survive(self, make_local, tmp_path):
-        from pairnet.model import PairNetModel
-        from pairnet.partition import Interval
-
         part = uniform_partition((Interval(0, 2), Interval(1, 5)), (2, 1))
         kind = ActivationKind("sigmoid", 7.25)
-        locs = tuple(
-            make_local(n=2, seed=j, subspace=part.domain, activation=kind)
-            for j in range(part.size)
-        )
-        model = PairNetModel(partition=part, locals=locs, activation_scope="domain")
+        locs = tuple(make_local(n=2, seed=j) for j in range(part.size))
+        model = PairNetModel(partition=part, locals=locs, activation_scope="domain",
+                             activation=kind)
         path = tmp_path / "sig.json"
         save_model(model, path)
         back = load_model(path)
         assert back == model
-        assert back.locals[0].activation == kind
+        assert back.activation == kind
         assert back.activation_scope == "domain"
 
     def test_prediction_tables_are_built_on_first_prediction(self, fitted_model, tmp_path):
@@ -170,6 +163,73 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(want)):
             save_model(model, tmp_path / "x.json")
         assert not (tmp_path / "x.json").exists()
+
+def _random_model(gen):
+    """A small model: 1-3 inputs, a random partition, either activation
+    and scope, per-cell alphas and some fallback cells, whose parameters
+    are zero, as fit leaves them."""
+    n = int(gen.integers(1, 4))
+    lo = gen.uniform(-5.0, 5.0, size=n)
+    domain = tuple(Interval(a, a + w) for a, w in zip(lo.tolist(), gen.uniform(0.1, 10.0, n)))
+    part = random_partition(domain, (1, 3), gen)
+    locs = []
+    for _ in range(part.size):
+        fallback = float(gen.normal()) if gen.uniform() < 0.3 else None
+        scale = 0.0 if fallback is not None else 10.0 ** gen.integers(-3, 4)
+        locs.append(LocalPairNet(alphas=gen.dirichlet(np.ones(n)),
+                                 c=scale * gen.normal(size=2**n),
+                                 gamma=scale * gen.normal(size=2**n), fallback_mean=fallback))
+    kind = (ActivationKind("sigmoid", float(gen.uniform(0.5, 9.0))) if gen.uniform() < 0.5
+            else ActivationKind("linear"))
+    scope = "domain" if gen.uniform() < 0.5 else "subspace"
+    return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope,
+                        activation=kind)
+
+
+class TestRandomModels:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_save_load_save_is_byte_stable(self, seed, tmp_path_factory):
+        """Any model saves, loads to an equal model that predicts bitwise
+        the same, and saves again to the same bytes."""
+        gen = np.random.default_rng(seed)
+        model = _random_model(gen)
+        first = tmp_path_factory.mktemp("m") / "a.json"
+        second = first.with_name("b.json")
+        save_model(model, first)
+        back = load_model(first)
+        save_model(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert back == model
+        lo = np.array([e[0] for e in model.partition.edges])
+        hi = np.array([e[-1] for e in model.partition.edges])
+        X = gen.uniform(lo - 1.0, hi + 1.0, size=(200, model.n))
+        np.testing.assert_array_equal(forward(back, X), forward(model, X))
+
+
+FIXTURES = Path(__file__).resolve().parent / "data"
+
+
+class TestFormat1Fixture:
+    """tests/data/model_v1.json was written by pairnet while each cell still
+    carried its box and activation: a sigmoid, domain-scoped 3-2 model
+    with one fallback cell. model_v1_predictions.json holds what that
+    code predicted at a few points, as float.hex strings."""
+
+    def test_loads_and_resaves_byte_identically(self, tmp_path):
+        model = load_model(FIXTURES / "model_v1.json")
+        assert model.activation == ActivationKind("sigmoid", 5.5)
+        assert model.activation_scope == "domain"
+        assert [loc.fallback_mean is not None for loc in model.locals] == [False] * 5 + [True]
+        save_model(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (FIXTURES / "model_v1.json").read_bytes()
+
+    def test_predicts_what_its_writer_predicted(self):
+        model = load_model(FIXTURES / "model_v1.json")
+        want = json.loads((FIXTURES / "model_v1_predictions.json").read_text())
+        got = forward(model, np.array(want["points"]))
+        assert [float(v).hex() for v in got] == want["predictions"]
+
 
 class TestStrictLoading:
     @pytest.fixture()
@@ -234,6 +294,24 @@ class TestStrictLoading:
         doc["locals"][2]["alphas"] = [0.5, 0.5, 0.5]
         _dump(saved, doc)
         with pytest.raises(ModelFormatError, match=r"locals\[2\].*sum to 1"):
+            load_model(saved)
+
+    def test_alphas_length_must_match_n(self, saved):
+        doc = _doc(saved)
+        doc["locals"][1]["alphas"] = [0.5, 0.5]
+        _dump(saved, doc)
+        with pytest.raises(ModelFormatError, match=r"locals\[1\]: c must have length 4"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_dimension_out_of_range_refused(self, saved, n):
+        """n is checked before any 2^n-long parameter list is built."""
+        doc = _doc(saved)
+        doc["n"] = n
+        doc["partition_edges"] = [[0.0, 1.0]] * n
+        doc["locals"] = [{"index": 0, "alphas": [1.0 / n] * n if n else [], "fallback_mean": 0.0}]
+        _dump(saved, doc)
+        with pytest.raises(ModelFormatError, match=rf"n must lie in \[1, 20\], got {n}"):
             load_model(saved)
 
     def test_wrong_parameter_length(self, saved):

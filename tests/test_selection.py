@@ -1,11 +1,14 @@
 """Random-search selection: determinism, argmin contract, holdout refit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import pairnet.selection as selection_mod
 from pairnet.datasets import Dataset, gen_train
 from pairnet.partition import Interval
+from pairnet.persistence import save_model
 from pairnet.selection import (
     Leaderboard,
     SelectionConfig,
@@ -127,6 +130,27 @@ class TestSelectModel:
         for e in board.entries:
             assert e.eval_mse == e.train_mse
         assert board.refit_seconds == 0.0
+
+    def test_training_mode_returns_the_winning_fit(self, small_f2, tmp_path):
+        """Training mode keeps only the best fit so far: what it returns is
+        the winner's own fit, bitwise, and saves to the bytes select_model
+        wrote when it held every candidate's model (sha256 below)."""
+        cfg = SelectionConfig(candidates=2, seed=8, eval_mode="training")
+        model, board = select_model(small_f2, cfg)
+        expected, _ = fit(small_f2, board.best.partition, FitConfig(alphas=board.best.alphas))
+        assert model == expected
+        save_model(model, tmp_path / "m.json")
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == (
+            "53c2cdf088d4266047ebb3ba36a0e3c24896b30473956e7bfd3a99dece90a740")
+
+    def test_training_mode_ties_keep_the_earlier_candidate(self, small_f2):
+        """One-cell partitions with fixed alphas make every candidate the
+        same fit; strict < keeps candidate 0."""
+        cfg = SelectionConfig(candidates=3, seed=2, eval_mode="training", count_range=(1, 1),
+                              alphas=(0.1, 0.1, 0.8))
+        model, board = select_model(small_f2, cfg)
+        assert len({e.eval_mse for e in board.entries}) == 1
+        assert board.best.candidate == model.provenance["candidate"] == 0
 
     def test_all_candidates_failing_raises_last_error(self):
         gen = np.random.default_rng(1)

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_box
+from conftest import as_box, sample_box
 from reference_fit import reference_fit
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.linsolve import solve_spd
-from pairnet.model import LocalPairNet, _quadratic_map, feature_matrix, local_forward
+from pairnet.model import (
+    LocalPairNet,
+    _quadratic_map,
+    cell_boxes,
+    feature_matrix,
+    local_forward,
+)
 from pairnet.partition import (
     Interval,
     Partition,
@@ -33,11 +39,19 @@ from pairnet.trainer import (
 BOX2 = (Interval(0.0, 2.0), Interval(1.0, 3.0))
 
 
+def _boxes(model):
+    """Each cell's box as a tuple of Intervals, read from the model's
+    (n, M) box arrays."""
+    lo, hi = cell_boxes(model.partition, model.activation_scope)
+    return [tuple(map(Interval, a, b)) for a, b in zip(lo.T.tolist(), hi.T.tolist())]
+
+
 def _realizable(make_local, n_rows, seed, noise=0.0):
-    """Targets generated by a known local net on well-spread points."""
+    """Targets generated by a known local net over BOX2 on well-spread
+    points."""
     gen_net = make_local(n=2, seed=41)
-    X = sample_box(gen_net.subspace, n_rows, seed=seed)
-    y = local_forward(gen_net, X)
+    X = sample_box(BOX2, n_rows, seed=seed)
+    y = local_forward(gen_net, X, as_box(BOX2))
     if noise:
         y = y + noise * np.random.default_rng(seed + 1).normal(size=n_rows)
     return gen_net, X, y
@@ -74,7 +88,7 @@ class TestFitConfig:
     @pytest.mark.parametrize("make", [
         lambda a: FitConfig(alphas=a),
         lambda a: SelectionConfig(candidates=1, alphas=a),
-        lambda a: LocalPairNet(n=2, alphas=a, c=np.zeros(4), gamma=np.zeros(4), subspace=BOX2),
+        lambda a: LocalPairNet(alphas=a, c=np.zeros(4), gamma=np.zeros(4)),
     ], ids=["FitConfig", "SelectionConfig", "LocalPairNet"])
     def test_bad_alphas_refused_at_construction(self, make, alphas, match):
         """A NaN fails every comparison, so each check is written to fail
@@ -96,47 +110,47 @@ class TestFitLocal:
 
     def test_recovers_generating_network(self, make_local):
         gen_net, X, y = _realizable(make_local, 200, seed=7)
-        fitted = _fit_one_cell(X, y, gen_net.subspace, FitConfig(alphas=gen_net.alphas))
-        X_held = sample_box(gen_net.subspace, 200, seed=8)
-        rms = np.sqrt(np.mean((local_forward(fitted, X_held)
-                               - local_forward(gen_net, X_held)) ** 2))
+        fitted = _fit_one_cell(X, y, BOX2, FitConfig(alphas=gen_net.alphas))
+        X_held = sample_box(BOX2, 200, seed=8)
+        rms = np.sqrt(np.mean((local_forward(fitted, X_held, as_box(BOX2))
+                               - local_forward(gen_net, X_held, as_box(BOX2))) ** 2))
         assert rms <= 1e-8
 
     def test_matches_per_row_normal_equations(self, make_local):
         """The streaming Gram accumulation equals a naive per-row build."""
         gen_net, X, y = _realizable(make_local, 60, seed=9, noise=0.3)
         cfg = FitConfig(alphas=gen_net.alphas)
-        fitted = _fit_one_cell(X, y, gen_net.subspace, cfg)
+        fitted = _fit_one_cell(X, y, BOX2, cfg)
 
         d = 8
         G = np.zeros((d, d))
         r = np.zeros(d)
         probe = dataclasses.replace(gen_net, c=np.zeros(4), gamma=np.zeros(4))
-        for phi, y_i in zip(feature_matrix(probe, X), y):
+        for phi, y_i in zip(feature_matrix(probe, X, as_box(BOX2)), y):
             G += np.outer(phi, phi)
             r += phi * y_i
         p, _ = solve_spd(G, r, cfg.ridge)
         np.testing.assert_allclose(
-            local_forward(fitted, X), feature_matrix(probe, X) @ p, rtol=1e-9, atol=1e-9
+            local_forward(fitted, X, as_box(BOX2)), feature_matrix(probe, X, as_box(BOX2)) @ p,
+            rtol=1e-9, atol=1e-9
         )
 
     def test_insufficient_rows_policies(self, make_local):
         gen_net, X, y = _realizable(make_local, 7, seed=3)  # threshold is 8
         with pytest.raises(SubspaceFitError, match="7 rows < 8") as info:
-            _fit_one_cell(X, y, gen_net.subspace,
-                          FitConfig(alphas=gen_net.alphas, min_rows_policy="error"))
+            _fit_one_cell(X, y, BOX2, FitConfig(alphas=gen_net.alphas, min_rows_policy="error"))
         assert isinstance(info.value.__cause__, InsufficientDataError)
-        fitted = _fit_one_cell(X, y, gen_net.subspace, FitConfig(alphas=gen_net.alphas))
+        fitted = _fit_one_cell(X, y, BOX2, FitConfig(alphas=gen_net.alphas))
         assert fitted.fallback_mean == pytest.approx(float(np.mean(y)))
-        assert local_forward(fitted, X[0]) == fitted.fallback_mean
+        assert local_forward(fitted, X[0], as_box(BOX2)) == fitted.fallback_mean
 
     def test_empty_cell_falls_back_to_zero(self, make_local):
         """fit refuses an empty dataset, so the empty cell is the lower
         half of a box whose rows all lie in the upper half."""
         gen_net = make_local(n=2)
-        upper = (Interval(gen_net.subspace[0].mid, gen_net.subspace[0].hi), gen_net.subspace[1])
+        upper = (Interval(BOX2[0].mid, BOX2[0].hi), BOX2[1])
         X = sample_box(upper, 20, seed=2)
-        fitted = _fit_one_cell(X, np.ones(20), gen_net.subspace,
+        fitted = _fit_one_cell(X, np.ones(20), BOX2,
                                FitConfig(alphas=gen_net.alphas), counts=(2, 1))
         assert fitted.fallback_mean == 0.0
 
@@ -196,19 +210,19 @@ class TestFit:
     def test_domain_scope_is_exactly_realizable_across_cells(self, make_local):
         """Targets produced by a single whole-domain net are matched to
         machine precision by every cell of a domain-scoped fit."""
-        gen_net = make_local(n=2, seed=13, subspace=BOX2)
+        gen_net = make_local(n=2, seed=13)
         X = sample_box(BOX2, 800, seed=14)
-        ds = Dataset(X, local_forward(gen_net, X), BOX2)
+        ds = Dataset(X, local_forward(gen_net, X, as_box(BOX2)), BOX2)
         cfg = FitConfig(alphas=gen_net.alphas, activation_scope="domain")
         model, report = fit(ds, uniform_partition(BOX2, (2, 3)), cfg)
         assert report.train_mse <= 1e-16
-        assert all(loc.subspace == model.partition.domain for loc in model.locals)
+        assert _boxes(model) == [BOX2] * 6
 
     def test_subspace_scope_records_cells(self):
         ds = self._dataset()
         part = uniform_partition(BOX2, (2, 2))
         model, _ = fit(ds, part, FitConfig(alphas=(0.5, 0.5)))
-        assert all(model.locals[j].subspace == part.cell(j) for j in range(part.size))
+        assert _boxes(model) == [part.cell(j) for j in range(part.size)]
 
     def test_error_policy_names_the_subspace(self):
         ds = self._dataset(n_rows=20)  # 3x3 cells get ~2 rows each
@@ -275,11 +289,12 @@ def _row_space(alphas):
                          full_matrices=False)[2]
 
 
-def assert_solves_full_system(local, X, y, ridge):
+def assert_solves_full_system(local, X, y, ridge, box, activation):
     """The parameters solve the full 2^(n+1)-wide ridge normal equations
-    (G + ridge I) p = r to a normwise backward error of 1e-13, and lie in
-    T's row space to 1e-12 relative."""
-    phi = feature_matrix(local, X)
+    (G + ridge I) p = r of the features over box (a tuple of Intervals)
+    to a normwise backward error of 1e-13, and lie in T's row space to
+    1e-12 relative."""
+    phi = feature_matrix(local, X, as_box(box), activation)
     A = phi.T @ phi + ridge * np.eye(phi.shape[1])
     r = phi.T @ y
     p = local.params
@@ -315,10 +330,11 @@ class TestSolvesTheFullSystem:
         config = FitConfig(alphas=alphas, activation=ActivationKind(tag), ridge=ridge,
                            activation_scope=scope)
         model, report = fit(dataset, partition, config)
-        for cell_rows, local, cell in zip(route(partition, dataset), model.locals,
-                                          report.subspaces):
+        for cell_rows, local, cell, box in zip(route(partition, dataset), model.locals,
+                                               report.subspaces, _boxes(model)):
             if not cell.fallback:
-                assert_solves_full_system(local, X[cell_rows], y[cell_rows], cell.ridge)
+                assert_solves_full_system(local, X[cell_rows], y[cell_rows], cell.ridge, box,
+                                          model.activation)
 
 
 class TestMatchesPerCellReference:
@@ -329,10 +345,15 @@ class TestMatchesPerCellReference:
         (model, report), (ref_model, ref_report) = fast, ref
         assert [s.fallback for s in report.subspaces] == [s.fallback for s in ref_report.subspaces]
         assert [s.n_rows for s in report.subspaces] == [s.n_rows for s in ref_report.subspaces]
-        for rows, loc, want, cell, want_cell in zip(
+        assert (model.activation_scope, model.activation) == (config.activation_scope,
+                                                              config.activation)
+        part = model.partition
+        boxes = _boxes(model)
+        assert boxes == [part.cell(j) if config.activation_scope == "subspace" else part.domain
+                         for j in range(part.size)]
+        for rows, loc, want, cell, want_cell, box in zip(
                 route(model.partition, dataset), model.locals, ref_model.locals,
-                report.subspaces, ref_report.subspaces):
-            assert loc.subspace == want.subspace
+                report.subspaces, ref_report.subspaces, boxes):
             assert loc.fallback_mean == want.fallback_mean
             y = dataset.y[rows]
             assert abs(cell.sse - want_cell.sse) <= _SSE_TOL * float(y @ y)
@@ -343,7 +364,7 @@ class TestMatchesPerCellReference:
                 assert cell.ridge == pytest.approx(want_cell.ridge, rel=1e-12)
             else:
                 assert cell.ridge == config.ridge
-            assert_solves_full_system(loc, dataset.X[rows], y, cell.ridge)
+            assert_solves_full_system(loc, dataset.X[rows], y, cell.ridge, box, config.activation)
         assert abs(report.train_mse - ref_report.train_mse) <= _MSE_RTOL * ref_report.train_mse
         assert report.train_mse == mse(model, dataset)
 
