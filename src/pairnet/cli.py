@@ -18,8 +18,6 @@ can be reproduced from the output alone; all randomness flows from
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -31,7 +29,7 @@ import numpy as np
 from .activation import ActivationKind
 from .baseline_mlp import DivergenceError, MLPConfig, mlp_forward, mlp_train
 from .datasets import BENCHMARKS, gen_test, gen_train, read_csv, write_csv
-from .ioutil import atomic_write_text
+from .ioutil import write_csv_rows
 from .partition import uniform_partition
 from .persistence import load_model, save_model
 from .seeding import MLP_STREAM
@@ -169,12 +167,8 @@ def _fit_config(args, alphas) -> FitConfig:
 
 
 def _write_rows(path, fieldnames: list[str], rows: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    atomic_write_text(path, buf.getvalue())
+    write_csv_rows(path, [fieldnames, *([repr(row[key]) if isinstance(row[key], float)
+                                         else row[key] for key in fieldnames] for row in rows)])
 
 
 def _cmd_gen_data(args) -> int:

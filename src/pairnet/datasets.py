@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import write_csv_rows
 from .partition import Interval
 
 __all__ = [
@@ -137,12 +137,9 @@ def gen_test(tag: str) -> Dataset:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset as UTF-8 CSV with exact decimal values."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(dataset.n)] + ["y"])
-    for row, target in zip(dataset.X, dataset.y):
-        writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
-    atomic_write_text(path, buf.getvalue())
+    write_csv_rows(path, [[f"x{i + 1}" for i in range(dataset.n)] + ["y"],
+                          *([repr(float(v)) for v in row] + [repr(float(target))]
+                            for row, target in zip(dataset.X, dataset.y))])
 
 
 def read_csv(path, domain: tuple[Interval, ...] | None = None) -> Dataset:

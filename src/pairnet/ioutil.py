@@ -1,11 +1,13 @@
-"""Atomic text output: write to a sibling temp file, then rename."""
+"""Atomic text output, CSV rows too: write a sibling temp file, then rename."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 
-__all__ = ["atomic_write_text"]
+__all__ = ["atomic_write_text", "write_csv_rows"]
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -22,3 +24,10 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_csv_rows(path, rows) -> None:
+    """Write rows as UTF-8 CSV lines ended by a newline, header first (atomically)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, buf.getvalue())

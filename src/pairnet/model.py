@@ -19,10 +19,10 @@ d = 2 + n(n+1)/2 columns and T the closed-form map of _quadratic_map.
 Prediction never builds F: each cell carries b = T [c; gamma] (d values)
 in the model's prediction tables, and a row predicts B(g) . b. fit's
 training predictions, forward() and local_forward() share that kernel,
-_predict, and fit builds its b with the same function. Every step is
-elementwise or a sum in an order set by n alone (_fixed_sum), so a
-cell's b is bitwise the same in any table and a row predicts bitwise the
-same in any batch.
+_predict, and fit predicts through the tables of the model it returns.
+Every step is elementwise or a sum in an order set by n alone
+(_fixed_sum), so a cell's b is bitwise the same in any table and a row
+predicts bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -300,8 +300,8 @@ def _prediction_tables(lo, hi, alphas, params, means) -> tuple[np.ndarray, ...]:
 def _stacked(locs) -> tuple[np.ndarray, ...]:
     """A sequence of locals as columns: alphas (n, M), [c; gamma]
     (2^(n+1), M) and fallback means (M,), NaN where solved."""
-    return (np.array([loc.alphas for loc in locs]).T.copy(),
-            np.array([loc.params for loc in locs]).T.copy(),
+    alphas, c, gamma = (np.array([getattr(loc, k) for loc in locs]) for k in ("alphas", "c", "gamma"))
+    return (alphas.T.copy(), np.hstack([c, gamma]).T.copy(),
             np.array([loc.fallback_mean for loc in locs], dtype=float))  # None -> NaN
 
 
@@ -362,7 +362,9 @@ class PairNetModel:
     "subspace" (each local uses its own cell) or "domain" (all locals
     share the partition's domain box); cell_boxes gives the boxes. Every
     local uses ``activation``. Provenance is free-form metadata and never
-    participates in equality.
+    participates in equality. The locals are stacked once into columns
+    (_cells), which prediction, equality and save_model read; a non-finite
+    c or gamma is refused there, a fallback cell's inert ones too.
     """
 
     partition: Partition
@@ -382,16 +384,27 @@ class PairNetModel:
         for j, loc in enumerate(self.locals):
             if loc.n != self.n:
                 raise ValueError(f"local {j} has {loc.n} inputs, partition has {self.n}")
+        finite = np.isfinite(self._cells[1]).all(axis=0)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            name = "c" if not np.isfinite(self.locals[j].c).all() else "gamma"
+            raise ValueError(f"locals[{j}].{name} contains non-finite values: "
+                             f"{getattr(self.locals[j], name).tolist()}")
 
     @property
     def n(self) -> int:
         return self.partition.ndim
 
     @cached_property
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """The locals as columns (see _stacked), stacked once."""
+        return _stacked(self.locals)
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
-        """The prediction tables, built from the locals on first use."""
+        """The prediction tables, built from _cells on first use."""
         return _prediction_tables(*cell_boxes(self.partition, self.activation_scope),
-                                  *_stacked(self.locals))
+                                  *self._cells)
 
     def __eq__(self, other):
         if not isinstance(other, PairNetModel):
@@ -400,7 +413,7 @@ class PairNetModel:
                 and self.activation_scope == other.activation_scope
                 and self.activation == other.activation
                 and all(np.array_equal(a, b, equal_nan=True)
-                        for a, b in zip(_stacked(self.locals), _stacked(other.locals))))
+                        for a, b in zip(self._cells, other._cells)))
 
     __hash__ = None
 

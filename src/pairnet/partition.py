@@ -18,10 +18,8 @@ more than _COUNT_EDGES interior breakpoints is binary-searched.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -115,10 +113,6 @@ class Partition:
     def domain(self) -> tuple[Interval, ...]:
         return tuple(Interval(e[0], e[-1]) for e in self.edges)
 
-    def intervals(self, dim: int) -> tuple[Interval, ...]:
-        e = self.edges[dim]
-        return tuple(Interval(a, b) for a, b in zip(e, e[1:]))
-
     def decode(self, flat: int) -> tuple[int, ...]:
         """Per-dimension interval indices from a flat cell index."""
         if not 0 <= flat < self.size:
@@ -128,17 +122,6 @@ class Partition:
             out.append(flat % m)
             flat //= m
         return tuple(reversed(out))
-
-    @cached_property
-    def cells(self) -> tuple[tuple[Interval, ...], ...]:
-        """Every cell's box of intervals, in flat order; built on first use."""
-        return tuple(itertools.product(*(self.intervals(i) for i in range(self.ndim))))
-
-    def cell(self, flat: int) -> tuple[Interval, ...]:
-        """The box of intervals owned by a flat cell index."""
-        if not 0 <= flat < self.size:
-            raise ValueError(f"cell index {flat} out of range [0, {self.size})")
-        return self.cells[flat]
 
     def counts_label(self) -> str:
         """Textual form of the interval counts, e.g. '6,6,6'."""
@@ -263,13 +246,15 @@ def _cell_order(cells: np.ndarray, size: int) -> np.ndarray:
     return np.argsort(cells.astype(np.min_scalar_type(size - 1)), kind="stable")
 
 
-def route(partition: Partition, dataset) -> list[np.ndarray]:
-    """Group dataset row indices by owning cell, in flat-index order.
+def route(partition: Partition, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's rows in flat cell order: (order, cells).
 
-    Returns M arrays of ascending row indices; their sizes sum to N.
+    order is the stable sort of the row indices by owning cell, so each
+    cell's rows form one run in ascending row order, and cells[i] is the
+    cell of row order[i], nondecreasing.
     """
     if dataset.n != partition.ndim:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
     flat = locate_many(partition, dataset.X)
-    ends = np.cumsum(np.bincount(flat, minlength=partition.size))
-    return np.split(_cell_order(flat, partition.size), ends[:-1])
+    order = _cell_order(flat, partition.size)
+    return order, flat[order]

@@ -51,13 +51,6 @@ class ModelVersionError(ModelFormatError):
     """The file's format_version is not supported."""
 
 
-def _float_list(arr, field: str) -> list[float]:
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{field} contains non-finite values: {arr.tolist()}")
-    return arr.tolist()
-
-
 def _jsonable(value, field: str):
     """Coerce provenance values to plain JSON types, or refuse."""
     if isinstance(value, (str, bool)) or value is None:
@@ -65,28 +58,23 @@ def _jsonable(value, field: str):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{field}: cannot save the non-finite value {float(value)!r}")
         return float(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v, field) for v in value.tolist()]
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, field) for v in value]
+        return [_jsonable(v, f"{field}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
         return {str(k): _jsonable(v, f"{field}.{k}") for k, v in value.items()}
     raise ValueError(f"{field}: cannot serialize {type(value).__name__} to JSON")
 
 
-def _local_entry(index: int, local: LocalPairNet) -> dict:
-    entry = {"index": index, "alphas": _float_list(local.alphas, f"locals[{index}].alphas")}
-    if local.fallback_mean is not None:   # finite: LocalPairNet refuses anything else
-        entry["fallback_mean"] = float(local.fallback_mean)
-    else:
-        entry["c"] = _float_list(local.c, f"locals[{index}].c")
-        entry["gamma"] = _float_list(local.gamma, f"locals[{index}].gamma")
-    return entry
-
-
 def save_model(model: PairNetModel, path) -> None:
     """Write a model to a JSON file (atomically)."""
+    alphas, params, means = model._cells   # finite: the model refuses anything else
+    m = 2**model.n
+    cells = zip(alphas.T.tolist(), params[:m].T.tolist(), params[m:].T.tolist(), means.tolist())
     activation = {"tag": model.activation.tag}
     if activation["tag"] == "sigmoid":
         activation["steepness"] = float(model.activation.steepness)
@@ -97,7 +85,9 @@ def save_model(model: PairNetModel, path) -> None:
         "activation": activation,
         "activation_scope": model.activation_scope,
         "partition_edges": [list(e) for e in model.partition.edges],
-        "locals": [_local_entry(j, loc) for j, loc in enumerate(model.locals)],
+        "locals": [{"index": j, "alphas": a, **({"c": c, "gamma": g} if math.isnan(mean)
+                                                 else {"fallback_mean": mean})}
+                   for j, (a, c, g, mean) in enumerate(cells)],
         "provenance": _jsonable(model.provenance, "provenance"),
     }
     atomic_write_text(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")

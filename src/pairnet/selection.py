@@ -18,6 +18,7 @@ import numpy as np
 
 from .activation import ActivationKind, LINEAR
 from .datasets import Dataset
+from .ioutil import write_csv_rows
 from .model import _check_alphas
 from .partition import Partition, random_partition
 from .seeding import ALPHA_STREAM, HOLDOUT_STREAM, PARTITION_STREAM, substream
@@ -107,20 +108,11 @@ class Leaderboard:
         return sum(e.fit_seconds for e in self.entries)
 
     def to_csv(self, path) -> None:
-        import csv
-        import io
-
-        from .ioutil import atomic_write_text
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["rank", "candidate", "partition", "alphas", "eval_mse", "train_mse"])
-        for rank, e in enumerate(self.entries):
-            writer.writerow(
-                [rank, e.candidate, e.counts_label,
-                 ";".join(repr(a) for a in e.alphas), repr(e.eval_mse), repr(e.train_mse)]
-            )
-        atomic_write_text(path, buf.getvalue())
+        write_csv_rows(path, [
+            ["rank", "candidate", "partition", "alphas", "eval_mse", "train_mse"],
+            *([rank, e.candidate, e.counts_label, ";".join(repr(a) for a in e.alphas),
+               repr(e.eval_mse), repr(e.train_mse)] for rank, e in enumerate(self.entries)),
+        ])
 
 
 def sample_alpha_simplex(n: int, rng: np.random.Generator) -> np.ndarray:

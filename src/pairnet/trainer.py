@@ -10,19 +10,19 @@ the reduced rows C = B R^T, and the ridge solution, which lies in T's
 row space, is p = Q v with (C^T C + ridge I) v = C^T y: the same
 problem, solved exactly in d unknowns instead of 2^(n+1).
 
-fit routes the rows once, sorts them by cell and makes two blocked
-sweeps over the sorted rows, so rows are expanded one block at a time
-(bounded memory regardless of data size). The first sweep builds each
-block's reduced rows, each row in its own cell's box, adds each cell's
-segment into that cell's C^T C and C^T y, and hands every cell with
-enough rows to the Cholesky solver. Cells with fewer than 2^(n+1) rows
-do not determine the parameters; depending on policy they either raise
-or fall back to a constant predictor at the target mean. The second
-sweep lifts each cell's (c, gamma) to its basis coefficients
-b = T [c; gamma] over all n inputs and predicts every row as B(g) . b,
-with the function and the kernel forward() uses (see model.py), and
-every training error in the report is read from those predictions; so
-forward() on the training data reproduces them bitwise.
+fit routes the rows once into one cell-sorted order (partition.route)
+and makes two blocked sweeps over the sorted rows, so rows are expanded
+one block at a time (bounded memory regardless of data size). The first
+sweep builds each block's reduced rows, each row in its own cell's box,
+adds each cell's segment into that cell's C^T C and C^T y, and hands
+every cell with enough rows to the Cholesky solver. Cells with fewer
+than 2^(n+1) rows do not determine the parameters; depending on policy
+they either raise or fall back to a constant predictor at the target
+mean. The second sweep predicts every row as B(g) . b through the
+prediction tables of the model fit builds, b = T [c; gamma] per cell,
+with the kernel forward() uses (see model.py). The report's training
+errors are read from those predictions and the model keeps the tables,
+so forward() on the training data reproduces them bitwise.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from .activation import LINEAR, ActivationKind, activate
 from .datasets import Dataset
+from .ioutil import write_csv_rows
 from .linsolve import solve_spd
 from .model import (
     LocalPairNet,
@@ -44,7 +45,6 @@ from .model import (
     _check_dim,
     _columns,
     _predict,
-    _prediction_tables,
     _quadratic_basis,
     _quadratic_map,
     cell_boxes,
@@ -156,39 +156,29 @@ class FitReport:
         return sum(s.n_rows for s in self.subspaces)
 
     def to_csv(self, path) -> None:
-        import csv
-        import io
-
-        from .ioutil import atomic_write_text
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["subspace", "n_rows", "sse", "mse", "fallback", "ridge", "escalations", "residual"]
-        )
-        for s in self.subspaces:
-            writer.writerow(
-                [s.index, s.n_rows, repr(s.sse), repr(s.mse), int(s.fallback),
-                 "" if s.ridge is None else repr(s.ridge), s.escalations,
-                 "" if s.residual is None else repr(s.residual)]
-            )
-        atomic_write_text(path, buf.getvalue())
+        write_csv_rows(path, [
+            ["subspace", "n_rows", "sse", "mse", "fallback", "ridge", "escalations", "residual"],
+            *([s.index, s.n_rows, repr(s.sse), repr(s.mse), int(s.fallback),
+               "" if s.ridge is None else repr(s.ridge), s.escalations,
+               "" if s.residual is None else repr(s.residual)] for s in self.subspaces),
+        ])
 
 
 def fit(dataset: Dataset, partition: Partition, config: FitConfig):
     """Fit one local network per cell, in two blocked sweeps over the rows.
 
-    Rows are routed to cells once and sorted by cell. The first sweep
-    reads the sorted rows in blocks of at most _GRAM_ROWS rows that end
-    on cell boundaries (a larger cell is read every _GRAM_ROWS rows from
-    its start), builds each block's reduced rows in one call, each row
-    in its own cell's box, and solves every cell with enough rows from
-    its segments' Gram sums, in flat order. The second sweep predicts
-    every row through the basis coefficients, with the kernel forward()
-    and local_forward() use, so the per-cell SSEs and the training MSE
-    come from one prediction array, and forward() on the training data
-    reproduces it bitwise. fit_seconds covers the whole call, from entry
-    to the assembled model.
+    route sorts the rows by cell once. The first sweep reads the sorted
+    rows in blocks of at most _GRAM_ROWS rows that end on cell
+    boundaries (a larger cell is read every _GRAM_ROWS rows from its
+    start), builds each block's reduced rows in one call, each row in
+    its own cell's box, and solves every cell with enough rows from its
+    segments' Gram sums, in flat order. The second sweep predicts every
+    row through the prediction tables of the model built from those
+    solves, with the kernel forward() uses, so the per-cell SSEs and the
+    training MSE come from one prediction array, which the returned
+    model, keeping those tables, reproduces bitwise. A solve that
+    overflows raises ValueError: a model refuses non-finite parameters.
+    fit_seconds covers the whole call, from entry to the assembled model.
 
     Returns (PairNetModel, FitReport).
     """
@@ -208,15 +198,13 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
 
 def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
-    """fit's work after validation: (model, per-cell records, train MSE)."""
-    n, size = dataset.n, partition.size
-    m = 2**n
+    """fit's work after validation: (model, per-cell records, train MSE),
+    the model carrying the tables its training rows were predicted with."""
+    size, m = partition.size, 2**dataset.n
     alphas = np.asarray(config.alphas)
-    groups = route(partition, dataset)
-    order = np.concatenate(groups)
-    bounds = [0, *np.cumsum([len(rows) for rows in groups]).tolist()]
+    order, cell_of = route(partition, dataset)
+    bounds = np.searchsorted(cell_of, np.arange(size + 1)).tolist()   # cell j: bounds[j:j + 2]
     X, y = np.take(dataset.X, order, axis=0), dataset.y[order]
-    cell_of = np.repeat(np.arange(size), np.diff(bounds))
     lo, hi = cell_boxes(partition, config.activation_scope)
 
     # Cells are solved in the reduced rows C = B R^T and lifted by Q
@@ -234,24 +222,12 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
     coords, fallback, diags = _solve_cells(reduced, len(T), y, bounds, partition, config)
     params = coords @ Q.T
-    tables = _prediction_tables(lo, hi, np.broadcast_to(alphas[:, None], lo.shape),
-                                params.T, fallback)
-    pred_sorted = _predict(config.activation, tables, X, cell_of)
-    counts = np.diff(bounds)
-    sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
-    pred = np.empty(len(y))
-    pred[order] = pred_sorted
-
-    locals_, cells = [], []
-    for j, diag in enumerate(diags):
-        locals_.append(LocalPairNet(alphas, params[j, :m], params[j, m:],
-                                    None if diag else float(fallback[j])))
-        solved = (diag.ridge, diag.escalations, diag.residual) if diag else (None, 0, None)
-        cells.append(SubspaceFit(j, int(counts[j]), float(sse[j]), diag is None, *solved))
-
     model = PairNetModel(
-        partition=partition, locals=tuple(locals_), activation_scope=config.activation_scope,
-        activation=config.activation,
+        partition=partition,
+        locals=tuple(LocalPairNet(alphas, params[j, :m], params[j, m:],
+                                  None if diag else float(fallback[j]))
+                     for j, diag in enumerate(diags)),
+        activation_scope=config.activation_scope, activation=config.activation,
         # Only the recipe goes in: provenance is serialized with the model,
         # and equal-seed runs must produce byte-identical files, so wall
         # clock stays on the report.
@@ -261,6 +237,16 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
             "activation_scope": config.activation_scope,
         },
     )
+    # The model's own tables: it predicts with them from here on.
+    pred_sorted = _predict(config.activation, model._tables, X, cell_of)
+    sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
+    pred = np.empty(len(y))
+    pred[order] = pred_sorted
+
+    cells = []
+    for j, (count, diag) in enumerate(zip(np.diff(bounds).tolist(), diags)):
+        solved = (diag.ridge, diag.escalations, diag.residual) if diag else (None, 0, None)
+        cells.append(SubspaceFit(j, count, float(sse[j]), diag is None, *solved))
     return model, tuple(cells), _mean_squared_error(dataset.y, pred)
 
 

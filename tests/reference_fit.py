@@ -1,7 +1,7 @@
 """Plain per-cell reference for trainer.fit, kept as a test oracle.
 
 This is the fit as pairnet wrote it before the blocked sweeps: route the
-rows once, then cell by cell build the cell's features, sum its normal
+rows once (by binary search, reference_routing), then cell by cell build the cell's features, sum its normal
 equations in 4096-row chunks from the cell's first row, solve them with
 solve_spd, and predict the cell's rows with local_forward. Under
 ridge=0.0 a cell is instead the minimum-norm least-squares fit of its
@@ -19,7 +19,6 @@ import numpy as np
 from conftest import as_box
 from pairnet.linsolve import SolveDiagnostics, solve_spd
 from pairnet.model import LocalPairNet, PairNetModel, feature_matrix, local_forward
-from pairnet.partition import route
 from pairnet.trainer import (
     FitReport,
     InsufficientDataError,
@@ -27,6 +26,7 @@ from pairnet.trainer import (
     SubspaceFitError,
     min_rows_threshold,
 )
+from reference_routing import cell_box, cell_rows
 
 _CHUNK_ROWS = 4096
 
@@ -63,9 +63,9 @@ def reference_fit(dataset, partition, config):
     """(PairNetModel, FitReport) of the per-cell fit; fit_seconds is 0."""
     pred = np.empty(len(dataset))
     locals_, cells = [], []
-    for j, rows in enumerate(route(partition, dataset)):
-        box = as_box(partition.cell(j) if config.activation_scope == "subspace"
-                     else partition.domain)
+    for j, rows in enumerate(cell_rows(partition, dataset.X)):
+        box = (cell_box(partition, j) if config.activation_scope == "subspace"
+               else as_box(partition.domain))
         X, y = dataset.X[rows], dataset.y[rows]
         try:
             local, diag = _solve_cell(X, y, box, config)

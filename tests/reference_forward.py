@@ -53,21 +53,26 @@ def naive_local_forward(local, x, box, activation) -> float:
     return y
 
 
-def naive_locate(partition, x) -> int:
-    """Flat cell of a point: upper cell on a breakpoint, clamped outside."""
-    flat = 0
+def naive_indices(partition, x) -> list[int]:
+    """A point's interval per dimension: the upper one on a breakpoint,
+    the nearest one outside the domain."""
+    out = []
     for xi, edges in zip(x, partition.edges):
-        m = len(edges) - 1
         i = bisect.bisect_right(edges, float(xi)) - 1
-        flat = flat * m + min(max(i, 0), m - 1)
-    return flat
+        out.append(min(max(i, 0), len(edges) - 2))
+    return out
 
 
 def naive_forward(model, x) -> float:
     """The model at one point: route it, then evaluate its cell over the
     cell's box (subspace scope) or the partition's domain."""
-    j = naive_locate(model.partition, x)
-    part = model.partition
-    box = part.cell(j) if model.activation_scope == "subspace" else part.domain
-    lo, hi = [iv.lo for iv in box], [iv.hi for iv in box]
+    edges = model.partition.edges
+    indices = naive_indices(model.partition, x)
+    j = 0
+    for i, e in zip(indices, edges):   # dimension 0 the most significant digit
+        j = j * (len(e) - 1) + i
+    if model.activation_scope == "subspace":
+        lo, hi = [e[i] for e, i in zip(edges, indices)], [e[i + 1] for e, i in zip(edges, indices)]
+    else:
+        lo, hi = [e[0] for e in edges], [e[-1] for e in edges]
     return naive_local_forward(model.locals[j], x, (lo, hi), model.activation)

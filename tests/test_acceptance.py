@@ -17,10 +17,11 @@ from pairnet.baseline_mlp import MLPConfig, loss_and_grads, mlp_train
 from pairnet.cli import TABLE2_ALPHAS, _write_rows, table2_rows
 from pairnet.datasets import Dataset, gen_test, gen_train
 from pairnet.model import LocalPairNet, feature_matrix, forward, local_forward
-from pairnet.partition import Interval, Partition, locate_many, route, uniform_partition
+from pairnet.partition import Interval, Partition, locate_many, uniform_partition
 from pairnet.persistence import load_model, save_model
 from pairnet.selection import SelectionConfig, select_model
 from pairnet.trainer import FitConfig, fit, min_rows_threshold, mse
+from reference_routing import cell_box, cell_rows
 
 TAGS = ("f1", "f2", "f3")
 
@@ -73,11 +74,11 @@ def test_2_first_order_optimality(verdict, benchmarks):
     part = uniform_partition(train.domain, (3, 3, 3))
     model, report = fit(train, part, FitConfig(alphas=(0.1, 0.1, 0.8)))
     assert not any(s.fallback for s in report.subspaces)
-    groups = route(part, train)
+    groups = cell_rows(part, train.X)
     worst_ratio = 0.0
     for j, local in enumerate(model.locals):
         X, y = train.X[groups[j]], train.y[groups[j]]
-        box = as_box(part.cell(j))
+        box = cell_box(part, j)
 
         def objective(c, gamma):
             probe = dataclasses.replace(local, c=c, gamma=gamma)

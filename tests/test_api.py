@@ -49,6 +49,14 @@ def test_partition_encode_is_gone():
     assert callable(pairnet.Partition.decode)
 
 
+def test_partition_cell_views_are_gone():
+    """A partition is its breakpoints: boxes come from model.cell_boxes."""
+    for name in ("cells", "cell", "intervals"):
+        assert not hasattr(pairnet.Partition, name), name
+    assert callable(pairnet.model.cell_boxes)
+    assert isinstance(pairnet.Partition.domain, property)
+
+
 def test_export_count():
     assert len(pairnet.__all__) == 41
 

@@ -36,6 +36,7 @@ from pairnet.model import (
 )
 from pairnet.partition import Interval, locate_many, random_partition, uniform_partition
 from reference_forward import naive_forward, naive_local_forward
+from reference_routing import cell_box
 
 
 def _fusion_weights(g, alphas):
@@ -265,9 +266,9 @@ class TestPairNetModel:
         model = self._model()
         x = np.array([0.5, -0.5])  # cell (0, 0)
         part = model.partition
-        assert forward(model, x) == local_forward(model.locals[0], x, as_box(part.cell(0)))
+        assert forward(model, x) == local_forward(model.locals[0], x, cell_box(part, 0))
         x = np.array([3.5, 0.5])   # cell (1, 1) -> flat 3
-        assert forward(model, x) == local_forward(model.locals[3], x, as_box(part.cell(3)))
+        assert forward(model, x) == local_forward(model.locals[3], x, cell_box(part, 3))
 
     def test_batch_forward_matches_per_point(self, rng):
         """Per-point forward is the reference for the grouped batch path,
@@ -314,10 +315,10 @@ class TestPairNetModel:
         for j, loc in enumerate(model.locals):
             mine = cells == j
             assert len(np.unique(np.flatnonzero(mine) // _FORWARD_ROWS)) == 3
-            want[mine] = local_forward(loc, X[mine], as_box(model.partition.cell(j)))
+            want[mine] = local_forward(loc, X[mine], cell_box(model.partition, j))
         np.testing.assert_array_equal(out, want)
         for i in (0, _FORWARD_ROWS - 1, _FORWARD_ROWS, 2 * _FORWARD_ROWS, rows - 1):
-            box = as_box(model.partition.cell(cells[i]))
+            box = cell_box(model.partition, cells[i])
             assert out[i] == local_forward(model.locals[cells[i]], X[i], box)
 
     def test_non_finite_row_is_named_across_blocks(self):
@@ -382,7 +383,7 @@ class TestPairNetModel:
         assert lo.shape == hi.shape == (len(counts), part.size)
         for j in range(part.size):
             assert [tuple(ends) for ends in zip(lo[:, j], hi[:, j])] == [
-                (iv.lo, iv.hi) for iv in part.cell(j)]
+                (e[i], e[i + 1]) for e, i in zip(part.edges, part.decode(j))]
 
     def test_equality_ignores_provenance(self):
         a = self._model(seed=9)
@@ -504,11 +505,11 @@ class TestForwardMatchesReference:
         gen = np.random.default_rng(17)
         model = _reference_case_model(gen, 3, (1, 1, 1), "subspace", tag)
         local = dataclasses.replace(model.locals[0], fallback_mean=None)
-        box = model.partition.cell(0)
-        X = np.column_stack([gen.uniform(iv.lo - 0.5, iv.hi + 0.5, block_rows(3) + 99)
-                             for iv in box])
-        want = [naive_local_forward(local, x, as_box(box), model.activation) for x in X]
-        np.testing.assert_allclose(local_forward(local, X, as_box(box), model.activation), want,
+        box = cell_box(model.partition, 0)
+        X = np.column_stack([gen.uniform(a - 0.5, b + 0.5, block_rows(3) + 99)
+                             for a, b in zip(*box)])
+        want = [naive_local_forward(local, x, box, model.activation) for x in X]
+        np.testing.assert_allclose(local_forward(local, X, box, model.activation), want,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -551,7 +552,7 @@ class TestPredictionKernel:
         want = np.empty(len(X))
         for j, loc in enumerate(model.locals):
             rows = cells == j
-            box = as_box(part.cell(j))
+            box = cell_box(part, j)
             want[rows] = (feature_matrix(loc, X[rows], box, model.activation) @ loc.params
                           if loc.fallback_mean is None else loc.fallback_mean)
             np.testing.assert_allclose(local_forward(loc, X[rows], box, model.activation),

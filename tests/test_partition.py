@@ -21,6 +21,7 @@ from pairnet.partition import (
     route,
     uniform_partition,
 )
+from pairnet.model import cell_boxes
 from reference_routing import flat_index, searchsorted_locate_many
 
 BOX = (Interval(0.0, 10.0), Interval(-2.0, 2.0), Interval(1.0, 20.0))
@@ -67,13 +68,17 @@ class TestPartitionStructure:
         assert part.domain == BOX
 
     def test_intervals_tile_each_dimension(self):
+        """The cells' boxes, read from cell_boxes, tile each dimension of
+        the domain: their distinct intervals meet end to end."""
         part = uniform_partition(BOX, (3, 2, 5))
+        lo, hi = cell_boxes(part, "subspace")
         for d in range(3):
-            ivs = part.intervals(d)
-            assert ivs[0].lo == BOX[d].lo
-            assert ivs[-1].hi == BOX[d].hi
+            ivs = sorted(set(zip(lo[d].tolist(), hi[d].tolist())))
+            assert len(ivs) == part.counts[d]
+            assert ivs[0][0] == BOX[d].lo
+            assert ivs[-1][1] == BOX[d].hi
             for a, b in zip(ivs, ivs[1:]):
-                assert a.hi == b.lo
+                assert a[1] == b[0]
 
     def test_counts_label(self):
         assert uniform_partition(BOX, (6, 6, 6)).counts_label() == "6,6,6"
@@ -115,7 +120,9 @@ class TestFlatIndexing:
     def test_cell_matches_decode(self):
         part = uniform_partition(BOX, (2, 2, 2))
         idx = part.decode(5)
-        assert part.cell(5) == tuple(part.intervals(d)[i] for d, i in enumerate(idx))
+        lo, hi = cell_boxes(part, "subspace")
+        assert list(zip(lo[:, 5], hi[:, 5])) == [
+            (part.edges[d][i], part.edges[d][i + 1]) for d, i in enumerate(idx)]
 
     def test_out_of_range_rejected(self):
         part = uniform_partition(BOX, (2, 2, 2))
@@ -147,7 +154,7 @@ class TestLocate:
         for x in points:
             expected = []
             for d in range(3):
-                ivs = part.intervals(d)
+                ivs = [Interval(a, b) for a, b in zip(part.edges[d], part.edges[d][1:])]
                 hit = 0 if x[d] < ivs[0].lo else len(ivs) - 1
                 for i, iv in enumerate(ivs):
                     last = i == len(ivs) - 1
@@ -174,16 +181,6 @@ class TestLocate:
             locate_many(part, points)
         with pytest.raises(ValueError, match=r"point \[5.0, .*, 10.0\] has a non-finite"):
             locate(part, points[2])
-
-    def test_cells_are_built_once_in_flat_order(self):
-        part = random_partition(BOX, (2, 4), np.random.default_rng(7))
-        assert part.cells is part.cells
-        assert len(part.cells) == part.size
-        for j, box in enumerate(part.cells):
-            assert part.cell(j) is box
-            assert box == tuple(part.intervals(d)[i] for d, i in enumerate(part.decode(j)))
-        with pytest.raises(ValueError, match="out of range"):
-            part.cell(part.size)
 
     def test_dimension_mismatch(self):
         part = uniform_partition(BOX, (2, 2, 2))
@@ -266,25 +263,28 @@ class TestLocateManyMatchesSearch:
         points = _edge_probes(part, rng)
         _assert_routes_like_search(part, points)
         ds = Dataset(points, np.zeros(len(points)), part.domain)
-        groups = route(part, ds)
+        order, cells = route(part, ds)
         flat = searchsorted_locate_many(part, points)
-        for j in np.unique(flat):
-            np.testing.assert_array_equal(groups[j], np.flatnonzero(flat == j))
+        np.testing.assert_array_equal(order, np.argsort(flat, kind="stable"))
+        np.testing.assert_array_equal(cells, flat[order])
 
 
 class TestRoute:
-    def test_groups_cover_rows_and_agree_with_locate(self, rng):
-        part = random_partition(BOX, (2, 4), rng)
-        X = np.column_stack([rng.uniform(iv.lo, iv.hi, 400) for iv in BOX])
-        ds = Dataset(X, np.zeros(400), BOX)
-        groups = route(part, ds)
-        assert len(groups) == part.size
-        seen = np.concatenate(groups)
-        assert sorted(seen.tolist()) == list(range(400))
-        for j, idx in enumerate(groups):
-            assert np.all(np.diff(idx) > 0)  # ascending row order
-            for i in idx:
-                assert locate(part, X[i]) == j
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), rows=st.integers(1, 400))
+    def test_groups_cover_rows_and_agree_with_locate(self, seed, rows):
+        """route's (order, cells): every row once, each cell's rows one
+        run in ascending row order (a stable sort), and each row's cell
+        the binary search's, on breakpoints and outside the domain too."""
+        gen = np.random.default_rng(seed)
+        part = random_partition(BOX, (1, 4), gen)
+        probes = _edge_probes(part, gen)
+        X = probes[gen.integers(0, len(probes), rows)]   # repeated points share a cell
+        order, cells = route(part, Dataset(X, np.zeros(rows), BOX))
+        assert sorted(order.tolist()) == list(range(rows))
+        np.testing.assert_array_equal(cells, searchsorted_locate_many(part, X)[order])
+        key = cells * rows + order   # nondecreasing cells, ascending rows within each
+        assert np.all(np.diff(key) > 0)
 
 
     @pytest.mark.parametrize("size", [1, 256, 257, 65_536, 65_537])

@@ -111,18 +111,25 @@ class TestRoundTrip:
         assert back.activation_scope == "domain"
 
     def test_prediction_tables_are_built_on_first_prediction(self, fitted_model, tmp_path):
-        """Constructing, saving and loading a model build no prediction
-        tables; the first forward() does, once."""
+        """A constructed or loaded model builds its prediction tables on
+        its first forward(), once. A fitted model's first prediction is
+        fit's pass over its training rows, so it carries those tables,
+        and its own first forward() reuses them."""
         model, ds = fitted_model
         fresh, _ = fit(ds, model.partition, FitConfig(alphas=(0.1, 0.1, 0.8)))
+        fitted_tables = vars(fresh)["_tables"]
         path = tmp_path / "m.json"
         save_model(fresh, path)
         back = load_model(path)
-        assert "_tables" not in vars(fresh) and "_tables" not in vars(back)
-        forward(back, ds.X[:5])
-        tables = vars(back)["_tables"]
-        forward(back, ds.X)
-        assert vars(back)["_tables"] is tables
+        built = PairNetModel(partition=fresh.partition, locals=fresh.locals)
+        assert "_tables" not in vars(back) and "_tables" not in vars(built)
+        forward(fresh, ds.X[:5])
+        assert vars(fresh)["_tables"] is fitted_tables
+        for other in (back, built):
+            forward(other, ds.X[:5])
+            tables = vars(other)["_tables"]
+            forward(other, ds.X)
+            assert vars(other)["_tables"] is tables
 
     def test_provenance_round_trips(self, fitted_model, tmp_path):
         import dataclasses
@@ -148,21 +155,39 @@ class TestRoundTrip:
             save_model(model, tmp_path / "x.json")
 
 
-    def test_non_finite_parameters_are_refused(self, fitted_model, tmp_path):
-        """The error names the field and lists its values; no file is left."""
+    def test_non_finite_provenance_is_refused(self, fitted_model, tmp_path):
+        import dataclasses
+
+        model, _ = fitted_model
+        model = dataclasses.replace(model, provenance={"scores": [1.0, np.float64(np.nan)]})
+        with pytest.raises(ValueError, match=re.escape("provenance.scores[1]: cannot save "
+                                                       "the non-finite value nan")):
+            save_model(model, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_non_finite_parameters_are_refused(self, fitted_model):
+        """A model refuses a non-finite c or gamma when it is built, a
+        fallback cell's inert ones too; the error names the local and the
+        field and lists its values."""
         import dataclasses
 
         model, _ = fitted_model
         j = next(j for j, loc in enumerate(model.locals) if loc.fallback_mean is None)
-        c = model.locals[j].c.copy()
-        c[1] = np.inf
-        bad = dataclasses.replace(model.locals[j], c=c)
-        model = dataclasses.replace(model, locals=(*model.locals[:j], bad,
-                                                   *model.locals[j + 1:]))
-        want = f"locals[{j}].c contains non-finite values: {c.tolist()}"
-        with pytest.raises(ValueError, match=re.escape(want)):
-            save_model(model, tmp_path / "x.json")
-        assert not (tmp_path / "x.json").exists()
+        for name, fallback in (("c", None), ("gamma", None), ("c", 1.5)):
+            values = getattr(model.locals[j], name).copy()
+            values[1] = np.inf
+            bad = dataclasses.replace(model.locals[j], fallback_mean=fallback, **{name: values})
+            want = f"locals[{j}].{name} contains non-finite values: {values.tolist()}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                dataclasses.replace(model, locals=(*model.locals[:j], bad, *model.locals[j + 1:]))
+
+    def test_nan_parameters_never_reach_forward(self):
+        part = uniform_partition((Interval(0.0, 1.0), Interval(0.0, 1.0)), (1, 1))
+        local = LocalPairNet((0.5, 0.5), [np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0])
+        with pytest.raises(ValueError, match=re.escape(
+                "locals[0].c contains non-finite values: [nan, 0.0, 0.0, 0.0]")):
+            PairNetModel(partition=part, locals=(local,))
+
 
 def _random_model(gen):
     """A small model: 1-3 inputs, a random partition, either activation

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import as_box, sample_box
 from reference_fit import reference_fit
+from reference_routing import cell_box, cell_rows
 from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.linsolve import solve_spd
@@ -23,7 +24,6 @@ from pairnet.partition import (
     Interval,
     Partition,
     random_partition,
-    route,
     uniform_partition,
 )
 from pairnet.selection import SelectionConfig
@@ -44,6 +44,11 @@ def _boxes(model):
     (n, M) box arrays."""
     lo, hi = cell_boxes(model.partition, model.activation_scope)
     return [tuple(map(Interval, a, b)) for a, b in zip(lo.T.tolist(), hi.T.tolist())]
+
+
+def _cell_intervals(partition, j):
+    """Cell j's box as a tuple of Intervals, from the reference's breakpoints."""
+    return tuple(map(Interval, *cell_box(partition, j)))
 
 
 def _realizable(make_local, n_rows, seed, noise=0.0):
@@ -222,7 +227,7 @@ class TestFit:
         ds = self._dataset()
         part = uniform_partition(BOX2, (2, 2))
         model, _ = fit(ds, part, FitConfig(alphas=(0.5, 0.5)))
-        assert _boxes(model) == [part.cell(j) for j in range(part.size)]
+        assert _boxes(model) == [_cell_intervals(part, j) for j in range(part.size)]
 
     def test_error_policy_names_the_subspace(self):
         ds = self._dataset(n_rows=20)  # 3x3 cells get ~2 rows each
@@ -249,6 +254,16 @@ class TestFit:
             fit(ds, part, FitConfig(alphas=(1.0,)))
         with pytest.raises(ValueError, match="dims"):
             fit(ds, uniform_partition((BOX2[0],), (2,)), FitConfig(alphas=(1.0,)))
+
+    def test_overflowing_targets_raise_instead_of_nan_parameters(self):
+        """Finite targets whose squares overflow solve to NaN parameters;
+        building the model refuses them, naming the local and the field,
+        so the fit raises and returns no model."""
+        X = np.random.default_rng(0).uniform(0.0, 1.0, size=(200, 1))
+        ds = Dataset(X, np.full(200, 1.7e308), (Interval(0.0, 1.0),))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"locals\[0\]\.c contains non-finite values: \[nan"):
+            fit(ds, uniform_partition(ds.domain, (1,)), FitConfig(alphas=(1.0,)))
 
     def test_provenance_records_the_recipe(self):
         ds = self._dataset()
@@ -330,10 +345,10 @@ class TestSolvesTheFullSystem:
         config = FitConfig(alphas=alphas, activation=ActivationKind(tag), ridge=ridge,
                            activation_scope=scope)
         model, report = fit(dataset, partition, config)
-        for cell_rows, local, cell, box in zip(route(partition, dataset), model.locals,
-                                               report.subspaces, _boxes(model)):
+        for mine, local, cell, box in zip(cell_rows(partition, X), model.locals,
+                                          report.subspaces, _boxes(model)):
             if not cell.fallback:
-                assert_solves_full_system(local, X[cell_rows], y[cell_rows], cell.ridge, box,
+                assert_solves_full_system(local, X[mine], y[mine], cell.ridge, box,
                                           model.activation)
 
 
@@ -349,10 +364,10 @@ class TestMatchesPerCellReference:
                                                               config.activation)
         part = model.partition
         boxes = _boxes(model)
-        assert boxes == [part.cell(j) if config.activation_scope == "subspace" else part.domain
-                         for j in range(part.size)]
+        assert boxes == [_cell_intervals(part, j) if config.activation_scope == "subspace"
+                         else part.domain for j in range(part.size)]
         for rows, loc, want, cell, want_cell, box in zip(
-                route(model.partition, dataset), model.locals, ref_model.locals,
+                cell_rows(model.partition, dataset.X), model.locals, ref_model.locals,
                 report.subspaces, ref_report.subspaces, boxes):
             assert loc.fallback_mean == want.fallback_mean
             y = dataset.y[rows]
