@@ -50,10 +50,11 @@ def activate(x, lo, hi, kind: ActivationKind = LINEAR) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     width = np.subtract(hi, lo)
-    if kind.tag == "linear":
-        return np.clip((x - lo) / width, 0.0, 1.0)
+    if kind.tag == "linear":   # clamped first: no x overflows, and rounding keeps g in [0, 1]
+        return (np.clip(x, lo, hi) - lo) / width
     s = kind.steepness
-    u = 2.0 * (x - 0.5 * np.add(lo, hi)) / width
+    with np.errstate(over="ignore"):   # a distant x saturates u at +-inf, so g at 0 or 1
+        u = 2.0 * (x - 0.5 * np.add(lo, hi)) / width
     low = _logistic(-s)
     return np.clip((_logistic(s * u) - low) / (_logistic(s) - low), 0.0, 1.0)
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 TRAIN_DOMAIN = (Interval(1.0, 20.0), Interval(1.0, 20.0), Interval(1.0, 20.0))
+_MAX_TARGET = math.sqrt(np.finfo(np.float64).max)   # the largest |y| with a finite square
 
 # ASCII file, group, record and unit separators: numpy's text reader
 # skips them as whitespace, float() refuses them.
@@ -56,7 +57,8 @@ class CsvFormatError(ValueError):
 class Dataset:
     """Rows of (x_1..x_n, y) plus the domain box the x's live in.
 
-    Every value must be finite; a NaN or infinity is rejected with the
+    Every value must be finite, and so must every target's square
+    (|y| <= about 1.34e154); a value that is not is rejected with the
     index of its row.
     """
 
@@ -82,6 +84,11 @@ class Dataset:
                 f"row {i} (counting from 0) is not finite: x={self.X[i].tolist()}, "
                 f"y={float(self.y[i])!r}"
             )
+        big = np.abs(self.y) > _MAX_TARGET   # compared, never squared
+        if big.any():
+            i = int(np.argmax(big))
+            raise ValueError(f"row {i} (counting from 0) has target y={float(self.y[i])!r}, "
+                             f"whose square overflows: |y| must be at most {_MAX_TARGET!r}")
 
     @property
     def n(self) -> int:

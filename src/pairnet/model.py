@@ -17,12 +17,12 @@ Within a cell's box those 2^(n+1) features are F = B T, with B the
 quadratic basis [1, g_i, g_i g_j (i < j), sum_i alpha_i^2 g_i^2] of
 d = 2 + n(n+1)/2 columns and T the closed-form map of _quadratic_map.
 Prediction never builds F: each cell carries b = T [c; gamma] (d values)
-in the model's prediction tables, and a row predicts B(g) . b. fit's
+in the model's prediction table, and a row predicts B(g) . b. fit's
 training predictions, forward() and local_forward() share that kernel,
-_predict, and fit predicts through the tables of the model it returns.
+_predict, and fit predicts through the table of the model it returns.
 Every step is elementwise or a sum in an order set by n alone
-(_fixed_sum), so a cell's b is bitwise the same in any table and a row
-predicts bitwise the same in any batch.
+(_fixed_sum), so a cell's b is bitwise the same in any table, and a row
+predicts bitwise the same in any batch and in any row order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from .activation import LINEAR, ActivationKind, activate
-from .partition import Partition, _cell_order, _checked_points, locate_many
+from .partition import Partition, _checked_points, locate_many
 
 __all__ = [
     "MAX_DIM",
@@ -58,8 +58,8 @@ _ALPHA_TOL = 1e-12
 # never changes a result, only its speed.
 _BLOCK_VALUES = 1 << 15
 
-# Rows per block of forward: each block is routed, ordered, predicted and
-# scattered on its own, so forward's temporaries stay this size.
+# Rows per block of forward: each block is routed and predicted on its
+# own, so forward's temporaries stay this size.
 _FORWARD_ROWS = 1 << 15
 
 
@@ -118,7 +118,7 @@ class LocalPairNet:
     fallback_mean: float | None = None
 
     def __post_init__(self):
-        # Read-only copies: a model caches its prediction tables from its
+        # Read-only copies: a model caches its prediction table from its
         # locals, so an in-place edit would go unseen; edit with
         # dataclasses.replace instead.
         for name in ("alphas", "c", "gamma"):
@@ -284,17 +284,17 @@ def _coefficients(alphas: np.ndarray, params: np.ndarray) -> np.ndarray:
     return b
 
 
-def _prediction_tables(lo, hi, alphas, params, means) -> tuple[np.ndarray, ...]:
-    """_predict's tables, one column per cell: the box ends lo, hi (n, M),
-    the squared alphas (n, M) and the coefficients b (d, M), from the
-    boxes, the alphas (n, M), [c; gamma] (2^(n+1), M) and the fallback
-    means (M,), NaN where the cell is solved. A fallback cell's b is
+def _prediction_table(lo, hi, alphas, params, means) -> np.ndarray:
+    """_predict's table (3n + d, M), one column per cell: the box ends
+    lo, hi (n, M), the squared alphas and the coefficients b (d, M),
+    stacked; from the alphas (n, M), [c; gamma] (2^(n+1), M) and the
+    fallback means (M,), NaN where solved. A fallback cell's b is
     [mean, 0, ..., 0], so it predicts its mean exactly."""
     b = _coefficients(alphas, params)
     fallback = ~np.isnan(means)
     b[:, fallback] = 0.0
     b[0, fallback] = means[fallback]
-    return lo, hi, alphas * alphas, b
+    return np.vstack([lo, hi, alphas * alphas, b])
 
 
 def _stacked(locs) -> tuple[np.ndarray, ...]:
@@ -307,19 +307,19 @@ def _stacked(locs) -> tuple[np.ndarray, ...]:
 
 def _columns(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Each row's column of a per-cell table (k, M), as (k, rows), for
-    rows sorted by cell: a run that starts and ends in one cell lies in
-    it and shares that column, a view."""
-    if cells[0] == cells[-1]:
+    rows in any order: rows that all lie in one cell share its column,
+    a view."""
+    if (cells == cells[0]).all():
         return table[:, cells[0], None]
     return np.take(table, cells, axis=1)
 
 
-def _predict(activation: ActivationKind, tables, X: np.ndarray, cells: np.ndarray):
-    """Predictions B(g) . b for rows X (N, n) sorted by cell, where
+def _predict(activation: ActivationKind, table: np.ndarray, X: np.ndarray, cells: np.ndarray):
+    """Predictions B(g) . b for rows X (N, n) in any order, where
     B(g) = [1, g_i, g_i g_j (i < j), sum_i alpha_i^2 g_i^2] over all n
-    inputs; tables are _prediction_tables' and cells[i] is row i's
-    column. Each block of block_rows(n) rows is elementwise, and each
-    row's d products are summed by _fixed_sum.
+    inputs; table is _prediction_table's and cells[i] is row i's column.
+    Each block of block_rows(n) rows is elementwise and each row's d
+    products are summed by _fixed_sum: a row's value is its own.
     """
     n = X.shape[1]
     i, j = np.triu_indices(n, 1)
@@ -327,7 +327,8 @@ def _predict(activation: ActivationKind, tables, X: np.ndarray, cells: np.ndarra
     step = block_rows(n)
     for start in range(0, len(X), step):
         rows = slice(start, start + step)
-        lo, hi, squares, b = (_columns(t, cells[rows]) for t in tables)
+        cols = _columns(table, cells[rows])
+        lo, hi, squares, b = cols[:n], cols[n:2 * n], cols[2 * n:3 * n], cols[3 * n:]
         g = activate(np.ascontiguousarray(X[rows].T), lo, hi, activation)   # (n, rows)
         terms = np.empty((len(b), g.shape[1]))
         terms[0] = b[0]
@@ -349,8 +350,8 @@ def local_forward(local: LocalPairNet, x, box, activation: ActivationKind = LINE
     x = np.asarray(x, dtype=np.float64)
     X = x[None, :] if x.ndim == 1 else x
     lo, hi = (np.asarray(end, dtype=np.float64)[:, None] for end in box)
-    tables = _prediction_tables(lo, hi, *_stacked([local]))
-    out = _predict(activation, tables, X, np.zeros(len(X), dtype=np.intp))
+    table = _prediction_table(lo, hi, *_stacked([local]))
+    out = _predict(activation, table, X, np.zeros(len(X), dtype=np.intp))
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -401,10 +402,10 @@ class PairNetModel:
         return _stacked(self.locals)
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        """The prediction tables, built from _cells on first use."""
-        return _prediction_tables(*cell_boxes(self.partition, self.activation_scope),
-                                  *self._cells)
+    def _table(self) -> np.ndarray:
+        """The prediction table, built from _cells on first use."""
+        return _prediction_table(*cell_boxes(self.partition, self.activation_scope),
+                                 *self._cells)
 
     def __eq__(self, other):
         if not isinstance(other, PairNetModel):
@@ -424,17 +425,15 @@ def forward(model: PairNetModel, x):
     Each point is routed to its cell's local network; points on interior
     breakpoints belong to the upper cell, and points outside the domain
     use the nearest boundary cell. A batch is taken _FORWARD_ROWS rows
-    at a time: each block is routed, sorted by cell for the kernel fit
-    uses and scattered back, so on the training rows this repeats fit
-    bitwise, and no temporary grows with the batch.
+    at a time, each block routed and predicted in the order given, so no
+    temporary grows with the batch. Every row's value is its own (see
+    _predict), so on the training rows this repeats fit bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
     X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x)
     out = np.empty(len(X))
     for start in range(0, len(X), _FORWARD_ROWS):
         rows = slice(start, start + _FORWARD_ROWS)
-        cells = locate_many(model.partition, X[rows])
-        order = _cell_order(cells, model.partition.size)
-        out[rows][order] = _predict(model.activation, model._tables,
-                                    np.take(X[rows], order, axis=0), cells[order])
+        out[rows] = _predict(model.activation, model._table, X[rows],
+                             locate_many(model.partition, X[rows]))
     return float(out[0]) if x.ndim == 1 else out

@@ -247,14 +247,13 @@ def _cell_order(cells: np.ndarray, size: int) -> np.ndarray:
 
 
 def route(partition: Partition, dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset's rows in flat cell order: (order, cells).
+    """Each row's cell, and the rows in flat cell order: (order, cells).
 
-    order is the stable sort of the row indices by owning cell, so each
-    cell's rows form one run in ascending row order, and cells[i] is the
-    cell of row order[i], nondecreasing.
+    cells[i] is the cell of row i, in the dataset's order, and order is
+    the stable sort of the row indices by cell, so each cell's rows form
+    one run of cells[order] in ascending row order.
     """
     if dataset.n != partition.ndim:
         raise ValueError(f"dataset has {dataset.n} dims, partition has {partition.ndim}")
-    flat = locate_many(partition, dataset.X)
-    order = _cell_order(flat, partition.size)
-    return order, flat[order]
+    cells = locate_many(partition, dataset.X)
+    return _cell_order(cells, partition.size), cells

@@ -149,7 +149,7 @@ def select_model(dataset: Dataset, config: SelectionConfig):
         hold, rest = perm[:n_hold], perm[n_hold:]
         fit_set, eval_set = _subset(dataset, rest), _subset(dataset, hold)
     else:
-        fit_set = eval_set = dataset
+        fit_set, eval_set = dataset, None   # fit's train_mse is mse(model, dataset), bitwise
 
     entries = []
     best_model = last_error = None   # training mode keeps the best fit so far
@@ -170,8 +170,8 @@ def select_model(dataset: Dataset, config: SelectionConfig):
             model, report = fit(fit_set, part, fit_cfg)
             entries.append(CandidateResult(
                 candidate=t, partition=part, alphas=alphas,
-                eval_mse=mse(model, eval_set), train_mse=report.train_mse,
-                fit_seconds=report.fit_seconds,
+                eval_mse=report.train_mse if eval_set is None else mse(model, eval_set),
+                train_mse=report.train_mse, fit_seconds=report.fit_seconds,
             ))
             if config.eval_mode == "training" and (
                     best_model is None or entries[-1].eval_mse < best_mse):

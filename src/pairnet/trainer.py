@@ -10,18 +10,19 @@ the reduced rows C = B R^T, and the ridge solution, which lies in T's
 row space, is p = Q v with (C^T C + ridge I) v = C^T y: the same
 problem, solved exactly in d unknowns instead of 2^(n+1).
 
-fit routes the rows once into one cell-sorted order (partition.route)
-and makes two blocked sweeps over the sorted rows, so rows are expanded
-one block at a time (bounded memory regardless of data size). The first
-sweep builds each block's reduced rows, each row in its own cell's box,
-adds each cell's segment into that cell's C^T C and C^T y, and hands
-every cell with enough rows to the Cholesky solver. Cells with fewer
+fit routes the rows once (partition.route) and makes two blocked
+sweeps, so rows are expanded one block at a time (bounded memory
+regardless of data size). The first sweep reads the rows sorted by cell,
+in blocks of at most _GRAM_ROWS rows that end on cell boundaries, builds
+each block's reduced rows, each row in its own cell's box, adds each
+cell's segment into that cell's C^T C and C^T y, and hands every cell
+with enough rows to the Cholesky solver, in flat order. Cells with fewer
 than 2^(n+1) rows do not determine the parameters; depending on policy
 they either raise or fall back to a constant predictor at the target
-mean. The second sweep predicts every row as B(g) . b through the
-prediction tables of the model fit builds, b = T [c; gamma] per cell,
-with the kernel forward() uses (see model.py). The report's training
-errors are read from those predictions and the model keeps the tables,
+mean. The second sweep predicts the rows as given, as B(g) . b through
+the prediction table of the model fit builds, b = T [c; gamma] per cell:
+the computation forward() makes (see model.py). The report's training
+errors are read from those predictions and the model keeps the table,
 so forward() on the training data reproduces them bitwise.
 """
 
@@ -165,22 +166,15 @@ class FitReport:
 
 
 def fit(dataset: Dataset, partition: Partition, config: FitConfig):
-    """Fit one local network per cell, in two blocked sweeps over the rows.
+    """Fit one local network per cell: (PairNetModel, FitReport).
 
-    route sorts the rows by cell once. The first sweep reads the sorted
-    rows in blocks of at most _GRAM_ROWS rows that end on cell
-    boundaries (a larger cell is read every _GRAM_ROWS rows from its
-    start), builds each block's reduced rows in one call, each row in
-    its own cell's box, and solves every cell with enough rows from its
-    segments' Gram sums, in flat order. The second sweep predicts every
-    row through the prediction tables of the model built from those
-    solves, with the kernel forward() uses, so the per-cell SSEs and the
-    training MSE come from one prediction array, which the returned
-    model, keeping those tables, reproduces bitwise. A solve that
-    overflows raises ValueError: a model refuses non-finite parameters.
-    fit_seconds covers the whole call, from entry to the assembled model.
-
-    Returns (PairNetModel, FitReport).
+    The rows are routed once and read in two blocked sweeps, one that
+    solves the cells and one that predicts the rows (see the module
+    docstring). The report's per-cell SSEs and training MSE come from
+    those predictions, which the returned model reproduces bitwise. A
+    solve that overflows raises ValueError: a model refuses non-finite
+    parameters. fit_seconds covers the whole call, from entry to the
+    assembled model.
     """
     t0 = time.perf_counter()
     if len(dataset) == 0:
@@ -199,10 +193,11 @@ def fit(dataset: Dataset, partition: Partition, config: FitConfig):
 
 def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     """fit's work after validation: (model, per-cell records, train MSE),
-    the model carrying the tables its training rows were predicted with."""
+    the model carrying the table its training rows were predicted with."""
     size, m = partition.size, 2**dataset.n
     alphas = np.asarray(config.alphas)
-    order, cell_of = route(partition, dataset)
+    order, cells = route(partition, dataset)
+    cell_of = cells[order]   # the sorted rows' cells, nondecreasing
     bounds = np.searchsorted(cell_of, np.arange(size + 1)).tolist()   # cell j: bounds[j:j + 2]
     X, y = np.take(dataset.X, order, axis=0), dataset.y[order]
     lo, hi = cell_boxes(partition, config.activation_scope)
@@ -211,13 +206,12 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
     # (see the module docstring).
     T, support = _quadratic_map(alphas)
     Q, R = np.linalg.qr(T.T)
-    support_lo, support_hi, support_alphas = lo[support], hi[support], alphas[support]
+    support_box, support_alphas = np.vstack([lo[support], hi[support]]), alphas[support]
 
     def reduced(start, stop):
         """Reduced rows C of sorted rows start..stop, each in its cell's box."""
-        cells = cell_of[start:stop]
-        g = activate(X[start:stop, support].T, _columns(support_lo, cells),
-                     _columns(support_hi, cells), config.activation)
+        box = np.split(_columns(support_box, cell_of[start:stop]), 2)   # lo, hi (s, rows)
+        g = activate(X[start:stop, support].T, *box, config.activation)
         return _quadratic_basis(g, support_alphas) @ R.T
 
     coords, fallback, diags = _solve_cells(reduced, len(T), y, bounds, partition, config)
@@ -237,17 +231,16 @@ def _fit(dataset: Dataset, partition: Partition, config: FitConfig):
             "activation_scope": config.activation_scope,
         },
     )
-    # The model's own tables: it predicts with them from here on.
-    pred_sorted = _predict(config.activation, model._tables, X, cell_of)
-    sse = np.bincount(cell_of, weights=(y - pred_sorted) ** 2, minlength=size)
-    pred = np.empty(len(y))
-    pred[order] = pred_sorted
+    # The model's own table: it predicts with it from here on. bincount adds
+    # each cell's errors in ascending row order, the stable sort's order.
+    pred = _predict(config.activation, model._table, dataset.X, cells)
+    sse = np.bincount(cells, weights=(dataset.y - pred) ** 2, minlength=size)
 
-    cells = []
+    records = []
     for j, (count, diag) in enumerate(zip(np.diff(bounds).tolist(), diags)):
         solved = (diag.ridge, diag.escalations, diag.residual) if diag else (None, 0, None)
-        cells.append(SubspaceFit(j, count, float(sse[j]), diag is None, *solved))
-    return model, tuple(cells), _mean_squared_error(dataset.y, pred)
+        records.append(SubspaceFit(j, count, float(sse[j]), diag is None, *solved))
+    return model, tuple(records), _mean_squared_error(dataset.y, pred)
 
 
 def _solve_cells(reduced, d, y, bounds, partition, config):

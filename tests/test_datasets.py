@@ -122,6 +122,19 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"row 1 .*-inf"):
             Dataset(X, np.zeros(3), (Interval(0, 1), Interval(0, 1)))
 
+    @pytest.mark.parametrize("y", [1.3407807929942597e154, -1e155, 1.7e308])
+    def test_target_whose_square_overflows_names_the_row(self, y):
+        """fit squares the targets, so a finite y past sqrt(float max) is
+        refused where it enters, naming the row, without overflowing."""
+        want = f"row 1 (counting from 0) has target y={y!r}, whose square overflows"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Dataset(np.zeros((3, 1)), np.array([0.0, y, y]), (Interval(0, 1),))
+
+    def test_largest_target_with_a_finite_square_is_accepted(self):
+        y = 1.3407807929942596e154   # sqrt(float max), rounded down
+        assert np.isfinite(y * y)
+        Dataset(np.zeros((2, 1)), np.array([y, -y]), (Interval(0, 1),))
+
 
 class TestCsvRoundTrip:
     def test_exact_roundtrip(self, tmp_path, rng):

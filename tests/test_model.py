@@ -24,7 +24,7 @@ from pairnet.model import (
     LocalPairNet,
     PairNetModel,
     _fixed_sum,
-    _prediction_tables,
+    _prediction_table,
     _quadratic_basis,
     _quadratic_map,
     _stacked,
@@ -248,7 +248,7 @@ class TestPairNetModel:
         return PairNetModel(partition=part, locals=tuple(locs), activation_scope=scope)
 
     def test_locals_cannot_change_under_a_cached_model(self):
-        """A model caches its tables on its first prediction; its locals
+        """A model caches its table on its first prediction; its locals
         cannot be edited in place, and dataclasses.replace gives a new
         model that predicts from the new parameters."""
         model = self._model()
@@ -305,7 +305,7 @@ class TestPairNetModel:
 
     def test_forward_blocks_match_local_forward(self, rng):
         """More than two blocks of rows, every cell in every block: each
-        row is bitwise its own cell's local_forward."""
+        row is bitwise its own cell's local_forward, in any row order."""
         model = self._model(counts=(3, 3), seed=9)
         rows = 2 * _FORWARD_ROWS + 5000
         X = np.column_stack([rng.uniform(-0.5, 4.5, rows), rng.uniform(-1.2, 1.2, rows)])
@@ -320,6 +320,23 @@ class TestPairNetModel:
         for i in (0, _FORWARD_ROWS - 1, _FORWARD_ROWS, 2 * _FORWARD_ROWS, rows - 1):
             box = cell_box(model.partition, cells[i])
             assert out[i] == local_forward(model.locals[cells[i]], X[i], box)
+        perm = rng.permutation(rows)
+        np.testing.assert_array_equal(forward(model, X[perm]), out[perm])
+
+    def test_block_that_starts_and_ends_in_one_cell(self):
+        """A block_rows(n)-row block whose first and last rows share a cell
+        but whose middle rows do not: each row predicts exactly its own
+        cell's local_forward, not the first row's cell."""
+        model = self._model(counts=(3, 3), seed=12)
+        part = model.partition
+        X = np.random.default_rng(12).uniform([0.0, -1.0], [4.0, 1.0], size=(block_rows(2), 2))
+        X[0] = X[-1] = [0.5, -0.8]   # cell 0
+        cells = locate_many(part, X)
+        assert cells[0] == cells[-1] and len(np.unique(cells)) == part.size
+        out = forward(model, X)
+        for i in range(len(X)):
+            want = local_forward(model.locals[cells[i]], X[i], cell_box(part, cells[i]))
+            assert out[i] == want, i
 
     def test_non_finite_row_is_named_across_blocks(self):
         model = self._model()
@@ -337,7 +354,7 @@ class TestPairNetModel:
             LocalPairNet(alphas=np.full(3, 1 / 3), c=gen.normal(size=8), gamma=gen.normal(size=8))
             for j in range(part.size)))
         X = gen.uniform(1.0, 20.0, size=(400_000, 3))
-        forward(model, X[:10])   # builds the cached tables outside the measurement
+        forward(model, X[:10])   # builds the cached table outside the measurement
         tracemalloc.start()
         try:
             forward(model, X)
@@ -565,9 +582,9 @@ class TestPredictionKernel:
         model, _ = _kernel_case_model(3, 0.0, "linear", seed=5)
         shared = dataclasses.replace(model.locals[0], c=model.locals[0].c[::-1].copy())
         locs = model.locals + (shared,)
-        def b_table(cells):   # b does not depend on the boxes
-            return _prediction_tables(np.zeros((3, len(cells))), np.ones((3, len(cells))),
-                                      *_stacked(cells))[3]
+        def b_table(cells):   # b, the rows below lo, hi and the squares, ignores the boxes
+            return _prediction_table(np.zeros((3, len(cells))), np.ones((3, len(cells))),
+                                     *_stacked(cells))[3 * 3:]
 
         many = b_table(locs)
         assert many.shape == (2 + 3 * 4 // 2, len(locs))

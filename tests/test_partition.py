@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset
 from pairnet.partition import (
     _COUNT_EDGES,
@@ -21,7 +23,7 @@ from pairnet.partition import (
     route,
     uniform_partition,
 )
-from pairnet.model import cell_boxes
+from pairnet.model import LocalPairNet, PairNetModel, cell_boxes, forward
 from reference_routing import flat_index, searchsorted_locate_many
 
 BOX = (Interval(0.0, 10.0), Interval(-2.0, 2.0), Interval(1.0, 20.0))
@@ -266,24 +268,70 @@ class TestLocateManyMatchesSearch:
         order, cells = route(part, ds)
         flat = searchsorted_locate_many(part, points)
         np.testing.assert_array_equal(order, np.argsort(flat, kind="stable"))
-        np.testing.assert_array_equal(cells, flat[order])
+        np.testing.assert_array_equal(cells, flat)
+
+
+_TINY = 5e-324   # the smallest subnormal
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoutingIsTotal:
+    """Every finite point routes, and predicts a finite value: on and next
+    to breakpoints, at +-1e308 and the float limits, at subnormals and at
+    arbitrary finite values, for breakpoints at any scale and for one
+    dimension counted, searched, or past the uint8 tally."""
+
+    @pytest.mark.parametrize("interior", [5, _COUNT_EDGES + 6, 260])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3),
+           scale=st.sampled_from([1e-310, 1.0, 1e300]),
+           tag=st.sampled_from(["linear", "sigmoid"]),
+           scope=st.sampled_from(["subspace", "domain"]),
+           drawn=arrays(np.float64, (20, 3), elements=_FINITE))
+    def test_any_finite_point(self, interior, seed, n, scale, tag, scope, drawn):
+        gen = np.random.default_rng(seed)
+        wide = int(gen.integers(n))
+        edges = []
+        for d in range(n):
+            cuts = np.unique(gen.uniform(-scale, scale, (interior if d == wide else 2) + 2))
+            edges.append(tuple(cuts.tolist()))
+        part = Partition(tuple(edges))
+        assert all(math.isfinite(iv.width) for iv in part.domain)
+        pools = [np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                 [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+                                  _TINY, -_TINY, 0.0, -0.0]]) for e in map(np.asarray, edges)]
+        X = np.vstack([np.column_stack([gen.choice(p, 200) for p in pools]), drawn[:, :n]])
+
+        cells = locate_many(part, X)
+        np.testing.assert_array_equal(cells, searchsorted_locate_many(part, X))
+        order, routed = route(part, Dataset(X, np.zeros(len(X)), part.domain))
+        np.testing.assert_array_equal(routed, cells)
+        np.testing.assert_array_equal(order, np.argsort(cells, kind="stable"))
+
+        pool = [LocalPairNet(alphas=gen.dirichlet(np.ones(n)), c=gen.normal(size=2**n),
+                             gamma=gen.normal(size=2**n), fallback_mean=mean)
+                for mean in (None, None, 1.5)]
+        model = PairNetModel(partition=part, locals=tuple(pool[j % 3] for j in range(part.size)),
+                             activation_scope=scope, activation=ActivationKind(tag, 4.0))
+        assert np.isfinite(forward(model, X)).all()
 
 
 class TestRoute:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 400))
     def test_groups_cover_rows_and_agree_with_locate(self, seed, rows):
-        """route's (order, cells): every row once, each cell's rows one
-        run in ascending row order (a stable sort), and each row's cell
-        the binary search's, on breakpoints and outside the domain too."""
+        """route's (order, cells): each row's cell in row order, the
+        binary search's, on breakpoints and outside the domain too; and
+        every row once in order, each cell's rows one run in ascending
+        row order (a stable sort)."""
         gen = np.random.default_rng(seed)
         part = random_partition(BOX, (1, 4), gen)
         probes = _edge_probes(part, gen)
         X = probes[gen.integers(0, len(probes), rows)]   # repeated points share a cell
         order, cells = route(part, Dataset(X, np.zeros(rows), BOX))
         assert sorted(order.tolist()) == list(range(rows))
-        np.testing.assert_array_equal(cells, searchsorted_locate_many(part, X)[order])
-        key = cells * rows + order   # nondecreasing cells, ascending rows within each
+        np.testing.assert_array_equal(cells, searchsorted_locate_many(part, X))
+        key = cells[order] * rows + order   # nondecreasing cells, ascending rows within each
         assert np.all(np.diff(key) > 0)
 
 

@@ -111,25 +111,26 @@ class TestRoundTrip:
         assert back.activation_scope == "domain"
 
     def test_prediction_tables_are_built_on_first_prediction(self, fitted_model, tmp_path):
-        """A constructed or loaded model builds its prediction tables on
+        """A constructed or loaded model builds its one prediction table on
         its first forward(), once. A fitted model's first prediction is
-        fit's pass over its training rows, so it carries those tables,
-        and its own first forward() reuses them."""
+        fit's pass over its training rows, so it carries that table, and
+        its own first forward() reuses it."""
         model, ds = fitted_model
         fresh, _ = fit(ds, model.partition, FitConfig(alphas=(0.1, 0.1, 0.8)))
-        fitted_tables = vars(fresh)["_tables"]
+        fitted_table = vars(fresh)["_table"]
+        assert fitted_table.shape == (3 * 3 + 2 + 3 * 4 // 2, fresh.partition.size)
         path = tmp_path / "m.json"
         save_model(fresh, path)
         back = load_model(path)
         built = PairNetModel(partition=fresh.partition, locals=fresh.locals)
-        assert "_tables" not in vars(back) and "_tables" not in vars(built)
+        assert "_table" not in vars(back) and "_table" not in vars(built)
         forward(fresh, ds.X[:5])
-        assert vars(fresh)["_tables"] is fitted_tables
+        assert vars(fresh)["_table"] is fitted_table
         for other in (back, built):
             forward(other, ds.X[:5])
-            tables = vars(other)["_tables"]
+            table = vars(other)["_table"]
             forward(other, ds.X)
-            assert vars(other)["_tables"] is tables
+            assert vars(other)["_table"] is table
 
     def test_provenance_round_trips(self, fitted_model, tmp_path):
         import dataclasses

@@ -15,7 +15,7 @@ from pairnet.selection import (
     sample_alpha_simplex,
     select_model,
 )
-from pairnet.trainer import FitConfig, SubspaceFitError, fit
+from pairnet.trainer import FitConfig, SubspaceFitError, fit, mse
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,18 @@ class TestSelectModel:
         for e in board.entries:
             assert e.eval_mse == e.train_mse
         assert board.refit_seconds == 0.0
+
+    def test_training_mode_scores_without_predicting_again(self, small_f2, monkeypatch):
+        """A candidate's training score is its fit's train_mse, which is
+        mse on its own training rows bitwise, so the search calls no mse."""
+        calls = []
+        monkeypatch.setattr(selection_mod, "mse", lambda model, ds: calls.append(ds))
+        _, board = select_model(small_f2, SelectionConfig(candidates=3, seed=8,
+                                                          eval_mode="training"))
+        assert calls == []
+        for e in board.entries:
+            model, _ = fit(small_f2, e.partition, FitConfig(alphas=e.alphas))
+            assert e.eval_mse == mse(model, small_f2)
 
     def test_training_mode_returns_the_winning_fit(self, small_f2, tmp_path):
         """Training mode keeps only the best fit so far: what it returns is

@@ -256,14 +256,18 @@ class TestFit:
             fit(ds, uniform_partition((BOX2[0],), (2,)), FitConfig(alphas=(1.0,)))
 
     def test_overflowing_targets_raise_instead_of_nan_parameters(self):
-        """Finite targets whose squares overflow solve to NaN parameters;
-        building the model refuses them, naming the local and the field,
-        so the fit raises and returns no model."""
+        """Finite targets whose squares overflow would solve to NaN
+        parameters; the dataset refuses them first, naming the row. The
+        largest targets it accepts fit to a finite model whose train MSE
+        is mse's, bitwise."""
         X = np.random.default_rng(0).uniform(0.0, 1.0, size=(200, 1))
-        ds = Dataset(X, np.full(200, 1.7e308), (Interval(0.0, 1.0),))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match=r"locals\[0\]\.c contains non-finite values: \[nan"):
-            fit(ds, uniform_partition(ds.domain, (1,)), FitConfig(alphas=(1.0,)))
+        with pytest.raises(ValueError, match=r"row 0 .*y=1\.7e\+308, whose square overflows"):
+            Dataset(X, np.full(200, 1.7e308), (Interval(0.0, 1.0),))
+        for value in (1e150, 1.3e154):
+            ds = Dataset(X, np.full(200, value), (Interval(0.0, 1.0),))
+            model, report = fit(ds, uniform_partition(ds.domain, (1,)), FitConfig(alphas=(1.0,)))
+            assert np.isfinite(model.locals[0].params).all()
+            assert report.train_mse == mse(model, ds)
 
     def test_provenance_records_the_recipe(self):
         ds = self._dataset()
