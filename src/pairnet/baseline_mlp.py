@@ -11,7 +11,7 @@ plain numpy and deterministic given the seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class MLPConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9  # 0.0 gives plain SGD
     batch_size: int = 64
-    seed: int = 0
+    seed: int = field(default=0, repr=False)  # per run: table 1 draws one per restart
 
     def __post_init__(self):
         if len(self.hidden) < 1:

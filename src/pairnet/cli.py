@@ -10,9 +10,11 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for usage or validation errors, 1 for
 runtime failures (unreadable artifacts, singular fits, divergence).
-Every command prints an echo of its resolved configuration so the run
-can be reproduced from the output alone; all randomness flows from
---seed through named substreams.
+Every command prints its inputs and the repr of the config object it
+ran (config.fit = FitConfig(...), config.selection, config.mlp), so the
+run can be reproduced from the output alone; all randomness flows from
+--seed through named substreams. The flags take their defaults and
+choices from those config types, which also check the values.
 """
 
 from __future__ import annotations
@@ -22,19 +24,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activation import ActivationKind
+from .activation import _KINDS, ActivationKind
 from .baseline_mlp import DivergenceError, MLPConfig, mlp_forward, mlp_train
 from .datasets import BENCHMARKS, gen_test, gen_train, read_csv, write_csv
 from .ioutil import write_csv_rows
+from .model import SCOPES
 from .partition import uniform_partition
 from .persistence import load_model, save_model
 from .seeding import MLP_STREAM
-from .selection import SelectionConfig, select_model
-from .trainer import FitConfig, fit, mse
+from .selection import EVAL_MODES, SelectionConfig, select_model
+from .trainer import MIN_ROWS_POLICIES, FitConfig, fit, mse
 
 __all__ = [
     "main",
@@ -52,6 +55,7 @@ TABLE2_PARTITIONS = (
     (4, 4, 4), (4, 5, 6), (5, 5, 5), (6, 6, 6),
 )
 TABLE2_ALPHAS = (0.1, 0.1, 0.8)
+_TABLE2_CONFIG = FitConfig(alphas=TABLE2_ALPHAS)   # linear activations throughout
 
 _ALPHA_SUM_TOL = 1e-6
 
@@ -149,21 +153,19 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _activation(args) -> ActivationKind:
+def _config(cls, **settings):
+    """cls(**settings), its refusal of a value reported as a usage error."""
     try:
-        return ActivationKind(args.activation, args.steepness)
+        return cls(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _fit_config(args, alphas) -> FitConfig:
-    try:
-        return FitConfig(
-            alphas=alphas, activation=_activation(args), ridge=args.ridge,
-            min_rows_policy=args.min_rows_policy, activation_scope=args.scope,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _fit_settings(args) -> dict:
+    """The FitConfig settings the fit flags give, alphas aside."""
+    return {"activation": _config(ActivationKind, tag=args.activation, steepness=args.steepness),
+            "ridge": args.ridge, "min_rows_policy": args.min_rows_policy,
+            "activation_scope": args.scope}
 
 
 def _write_rows(path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -189,19 +191,15 @@ def _cmd_fit(args) -> int:
     dataset = read_csv(args.data)
     if len(counts) != dataset.n:
         raise UsageError(f"partition has {len(counts)} dims but data has {dataset.n} columns")
-    alphas = _parse_alphas(args.alphas, dataset.n)
-    config = _fit_config(args, alphas)
+    config = _config(FitConfig, alphas=_parse_alphas(args.alphas, dataset.n),
+                     **_fit_settings(args))
     model, report = fit(dataset, uniform_partition(dataset.domain, counts), config)
     save_model(model, args.model_out)
     report_out = args.report_out or os.path.splitext(args.model_out)[0] + ".report.csv"
     report.to_csv(report_out)
     _emit(RunReport(
         command="fit",
-        config={"data": args.data, "partition": ",".join(map(str, counts)),
-                "alphas": ",".join(repr(a) for a in alphas),
-                "activation": args.activation, "scope": args.scope,
-                "ridge": "auto" if args.ridge is None else repr(args.ridge),
-                "min_rows_policy": args.min_rows_policy},
+        config={"data": args.data, "partition": ",".join(map(str, counts)), "fit": config},
         timings={"fit_seconds": repr(report.fit_seconds)},
         metrics={"rows": len(dataset), "subspaces": model.partition.size,
                  "train_mse": repr(report.train_mse),
@@ -227,16 +225,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_select(args) -> int:
     dataset = read_csv(args.data)
-    alphas = _parse_alphas(args.alphas, dataset.n) if args.alphas else None
-    try:
-        config = SelectionConfig(
-            candidates=args.candidates, count_range=_parse_count_range(args.count_range),
-            alphas=alphas, activation=_activation(args), eval_mode=args.eval_mode,
-            holdout_fraction=args.holdout_fraction, seed=args.seed, ridge=args.ridge,
-            min_rows_policy=args.min_rows_policy, activation_scope=args.scope,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _config(
+        SelectionConfig, candidates=args.candidates,
+        count_range=_parse_count_range(args.count_range),
+        alphas=_parse_alphas(args.alphas, dataset.n) if args.alphas else None,
+        eval_mode=args.eval_mode, holdout_fraction=args.holdout_fraction, seed=args.seed,
+        **_fit_settings(args),
+    )
     model, board = select_model(dataset, config)
     save_model(model, args.model_out)
     outputs = {"model": args.model_out}
@@ -246,11 +241,7 @@ def _cmd_select(args) -> int:
     winner = board.best
     _emit(RunReport(
         command="select",
-        config={"data": args.data, "candidates": args.candidates, "seed": args.seed,
-                "count_range": args.count_range,
-                "alphas": args.alphas or "random-simplex",
-                "eval_mode": args.eval_mode, "activation": args.activation,
-                "scope": args.scope},
+        config={"data": args.data, "selection": config},
         timings={"total_fit_seconds": repr(board.total_fit_seconds),
                  "refit_seconds": repr(board.refit_seconds)},
         metrics={"winner_candidate": winner.candidate,
@@ -264,9 +255,9 @@ def _cmd_select(args) -> int:
 
 
 def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
-                alphas=TABLE2_ALPHAS) -> list[dict]:
+                config=_TABLE2_CONFIG) -> list[dict]:
     """The partition-sweep benchmark: one row per partition, train and
-    test MSE columns per function. Linear activations throughout."""
+    test MSE columns per function, every fit with ``config``."""
     functions = tuple(functions)
     train = {tag: gen_train(tag) for tag in functions}
     test = {tag: gen_test(tag) for tag in functions}
@@ -275,7 +266,7 @@ def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
         row = {"partition": "-".join(map(str, counts)), "subspaces": math.prod(counts)}
         for tag in functions:
             part = uniform_partition(train[tag].domain, counts)
-            model, report = fit(train[tag], part, FitConfig(alphas=alphas))
+            model, report = fit(train[tag], part, config)
             row[f"{tag}_train_mse"] = report.train_mse
             row[f"{tag}_test_mse"] = mse(model, test[tag])
         rows.append(row)
@@ -288,12 +279,12 @@ def _mlp_seed(base: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def table1_rows(functions=("f1", "f2", "f3"), candidates=4, epochs=500,
-                mlp_seeds=5, seed=0, hidden=(16,) * 20, learning_rate=1e-3,
-                momentum=0.9, batch_size=64) -> list[dict]:
+def table1_rows(functions=("f1", "f2", "f3"), candidates=4, mlp_seeds=5, seed=0,
+                mlp=MLPConfig()) -> list[dict]:
     """The speed/accuracy benchmark: random-search selection (candidates
     + 1 networks, random alphas and partitions) against the best of
-    ``mlp_seeds`` finished backprop runs. Training times are totals, i.e.
+    ``mlp_seeds`` finished backprop runs of ``mlp``, each restart with
+    its own seed drawn from ``seed``. Training times are totals, i.e.
     the cost of producing the selected model. Deep thin ReLU nets often
     blow up within an epoch, so a diverging restart draws a replacement
     seed (its wall time still counts) up to 10x mlp_seeds attempts; at
@@ -310,9 +301,7 @@ def table1_rows(functions=("f1", "f2", "f3"), candidates=4, epochs=500,
         best_mse, best_net, total = None, None, 0.0
         finished = attempts = 0
         while finished < mlp_seeds and attempts < 10 * mlp_seeds:
-            config = MLPConfig(hidden=tuple(hidden), epochs=epochs,
-                               learning_rate=learning_rate, momentum=momentum,
-                               batch_size=batch_size, seed=_mlp_seed(seed + i, attempts))
+            config = replace(mlp, seed=_mlp_seed(seed + i, attempts))
             attempts += 1
             started = time.perf_counter()
             try:
@@ -343,33 +332,21 @@ def _cmd_bench(args) -> int:
         for tag in functions:
             fieldnames += [f"{tag}_train_mse", f"{tag}_test_mse"]
         path = os.path.join(args.out, "table2.csv")
-        config = {"table": 2, "functions": ",".join(functions),
-                  "alphas": ",".join(map(repr, TABLE2_ALPHAS)), "activation": "linear"}
+        config = {"table": 2, "functions": ",".join(functions), "fit": _TABLE2_CONFIG}
     else:
         if args.candidates < 1:
             raise UsageError(f"need candidates >= 1, got {args.candidates}")
-        if args.epochs < 1 or args.mlp_seeds < 1:
-            raise UsageError("epochs and mlp-seeds must be >= 1")
-        if args.mlp_width < 1 or args.mlp_depth < 1:
-            raise UsageError("mlp-width and mlp-depth must be >= 1")
-        hidden = (args.mlp_width,) * args.mlp_depth
-        try:
-            MLPConfig(hidden=hidden, epochs=args.epochs, learning_rate=args.mlp_lr,
-                      momentum=args.mlp_momentum, batch_size=args.mlp_batch)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if args.mlp_seeds < 1:
+            raise UsageError(f"need mlp-seeds >= 1, got {args.mlp_seeds}")
+        mlp = _config(MLPConfig, hidden=(args.mlp_width,) * args.mlp_depth, epochs=args.epochs,
+                      learning_rate=args.mlp_lr, momentum=args.mlp_momentum,
+                      batch_size=args.mlp_batch)
         rows = table1_rows(functions=functions, candidates=args.candidates,
-                           epochs=args.epochs, mlp_seeds=args.mlp_seeds, seed=args.seed,
-                           hidden=hidden, learning_rate=args.mlp_lr,
-                           momentum=args.mlp_momentum, batch_size=args.mlp_batch)
+                           mlp_seeds=args.mlp_seeds, seed=args.seed, mlp=mlp)
         fieldnames = ["method", "function", "t_train_seconds", "mse_train", "mse_test"]
         path = os.path.join(args.out, "table1.csv")
         config = {"table": 1, "functions": ",".join(functions), "seed": args.seed,
-                  "candidates": args.candidates, "epochs": args.epochs,
-                  "mlp_seeds": args.mlp_seeds,
-                  "mlp_hidden": f"{args.mlp_width}x{args.mlp_depth}",
-                  "mlp_lr": repr(args.mlp_lr), "mlp_momentum": repr(args.mlp_momentum),
-                  "mlp_batch": args.mlp_batch}
+                  "candidates": args.candidates, "mlp_seeds": args.mlp_seeds, "mlp": mlp}
     _write_rows(path, fieldnames, rows)
     for row in rows:
         print("  ".join(f"{key}={row[key]!r}" if isinstance(row[key], float)
@@ -392,14 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
 
     def fit_flags(p):
-        p.add_argument("--activation", default="linear", choices=("linear", "sigmoid"))
-        p.add_argument("--steepness", type=_finite_float, default=4.0,
+        p.add_argument("--activation", default=ActivationKind.tag, choices=_KINDS)
+        p.add_argument("--steepness", type=_finite_float, default=ActivationKind.steepness,
                        help="sigmoid steepness (ignored for linear)")
-        p.add_argument("--ridge", type=_finite_float, default=None,
+        p.add_argument("--ridge", type=_finite_float, default=FitConfig.ridge,
                        help="fixed ridge; default is each cell's floor, 1e-10 * trace/2^(n+1)")
-        p.add_argument("--min-rows-policy", default="fallback_mean",
-                       choices=("fallback_mean", "error"))
-        p.add_argument("--scope", default="subspace", choices=("subspace", "domain"),
+        p.add_argument("--min-rows-policy", default=FitConfig.min_rows_policy,
+                       choices=MIN_ROWS_POLICIES)
+        p.add_argument("--scope", default=FitConfig.activation_scope, choices=SCOPES,
                        help="what the activations normalize over")
 
     p = sub.add_parser("fit", help="one-shot fit on a uniform partition")
@@ -421,12 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--candidates", type=int, default=4,
                    help="search iterations K; K+1 candidates are evaluated")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--count-range", default="2,6", help="per-dimension interval count bounds")
+    p.add_argument("--seed", type=_nonnegative_int, default=SelectionConfig.seed)
+    p.add_argument("--count-range", default=",".join(map(str, SelectionConfig.count_range)),
+                   help="per-dimension interval count bounds")
     p.add_argument("--alphas", default=None,
                    help="fixed fusion weights; default draws a random simplex per candidate")
-    p.add_argument("--eval-mode", default="holdout", choices=("holdout", "training"))
-    p.add_argument("--holdout-fraction", type=float, default=0.2)
+    p.add_argument("--eval-mode", default=SelectionConfig.eval_mode, choices=EVAL_MODES)
+    p.add_argument("--holdout-fraction", type=float, default=SelectionConfig.holdout_fraction)
     p.add_argument("--model-out", required=True)
     p.add_argument("--leaderboard-out", default=None)
     fit_flags(p)
@@ -439,14 +417,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--candidates", type=int, default=4,
                    help="table 1: search iterations K (K+1 candidates, default 5 total)")
-    p.add_argument("--epochs", type=int, default=500, help="table 1: MLP epochs")
+    p.add_argument("--epochs", type=int, default=MLPConfig.epochs, help="table 1: MLP epochs")
     p.add_argument("--mlp-seeds", type=int, default=5, help="table 1: MLP restarts")
-    p.add_argument("--mlp-width", type=int, default=16, help="table 1: hidden layer width")
-    p.add_argument("--mlp-depth", type=int, default=20, help="table 1: hidden layer count")
-    p.add_argument("--mlp-lr", type=_finite_float, default=1e-3, help="table 1: learning rate")
-    p.add_argument("--mlp-momentum", type=_finite_float, default=0.9,
+    p.add_argument("--mlp-width", type=int, default=MLPConfig.hidden[0],
+                   help="table 1: hidden layer width")
+    p.add_argument("--mlp-depth", type=int, default=len(MLPConfig.hidden),
+                   help="table 1: hidden layer count")
+    p.add_argument("--mlp-lr", type=_finite_float, default=MLPConfig.learning_rate,
+                   help="table 1: learning rate")
+    p.add_argument("--mlp-momentum", type=_finite_float, default=MLPConfig.momentum,
                    help="table 1: momentum in [0, 1); 0 gives plain SGD")
-    p.add_argument("--mlp-batch", type=int, default=64, help="table 1: minibatch size")
+    p.add_argument("--mlp-batch", type=int, default=MLPConfig.batch_size,
+                   help="table 1: minibatch size")
     p.set_defaults(func=_cmd_bench)
     return parser
 

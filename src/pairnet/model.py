@@ -53,6 +53,9 @@ MAX_DIM = 20
 
 _ALPHA_TOL = 1e-12
 
+# What a model's activations may normalize over (see cell_boxes).
+SCOPES = ("subspace", "domain")
+
 # Basis values per evaluation block (see block_rows), and per block of
 # _coefficients' products. Predictions are row-local, so the blocking
 # never changes a result, only its speed.
@@ -375,7 +378,7 @@ class PairNetModel:
     provenance: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.activation_scope not in ("subspace", "domain"):
+        if self.activation_scope not in SCOPES:
             raise ValueError(f"unknown activation_scope {self.activation_scope!r}")
         if len(self.locals) != self.partition.size:
             raise ValueError(
@@ -430,10 +433,14 @@ def forward(model: PairNetModel, x):
     _predict), so on the training rows this repeats fit bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
-    X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x)
+    X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x, finite=False)
     out = np.empty(len(X))
     for start in range(0, len(X), _FORWARD_ROWS):
         rows = slice(start, start + _FORWARD_ROWS)
-        out[rows] = _predict(model.activation, model._table, X[rows],
-                             locate_many(model.partition, X[rows]))
+        try:
+            cells = locate_many(model.partition, X[rows])
+        except ValueError:
+            _checked_points(model.partition, X)   # names the row by its index in x
+            raise
+        out[rows] = _predict(model.activation, model._table, X[rows], cells)
     return float(out[0]) if x.ndim == 1 else out

@@ -78,8 +78,8 @@ class Partition:
     """Per-dimension breakpoints tiling a box into M cells.
 
     ``edges[i]`` holds the m_i + 1 finite, strictly increasing breakpoints
-    of dimension i, first entry a_i and last entry b_i. Immutable and safe
-    to share across threads.
+    of dimension i, first entry a_i and last entry b_i, with a finite
+    width b_i - a_i. Immutable and safe to share across threads.
     """
 
     edges: tuple[tuple[float, ...], ...]
@@ -94,6 +94,9 @@ class Partition:
                 raise ValueError(f"dimension {i}: breakpoints must be finite: {e}")
             if any(a >= b for a, b in zip(e, e[1:])):
                 raise ValueError(f"dimension {i}: breakpoints must be strictly increasing: {e}")
+            if not math.isfinite(e[-1] - e[0]):   # Interval's rule; it bounds every gap too
+                raise ValueError(f"dimension {i}: breakpoint span [{e[0]!r}, {e[-1]!r}] "
+                                 "must have a finite width")
 
     @property
     def ndim(self) -> int:
@@ -202,13 +205,14 @@ def locate(partition: Partition, point: Sequence[float]) -> int:
     return int(locate_many(partition, np.asarray(point, dtype=np.float64)[None, :])[0])
 
 
-def _checked_points(partition: Partition, points) -> np.ndarray:
+def _checked_points(partition: Partition, points, finite: bool = True) -> np.ndarray:
     """points as a float64 (N, n) array, or the error locate_many raises:
-    a wrong shape, or the first row with a NaN or infinite coordinate."""
+    a wrong shape, or (if finite) the first row with a NaN or infinite
+    coordinate."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != partition.ndim:
         raise ValueError(f"expected (N, {partition.ndim}) points, got shape {points.shape}")
-    if not np.isfinite(points).all():
+    if finite and not np.isfinite(points).all():
         row = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ValueError(f"row {row} has a non-finite coordinate: {points[row].tolist()}")
     return points

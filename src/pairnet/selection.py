@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .activation import ActivationKind, LINEAR
+from .activation import ActivationKind
 from .datasets import Dataset
 from .ioutil import write_csv_rows
-from .model import _check_alphas
 from .partition import Partition, random_partition
 from .seeding import ALPHA_STREAM, HOLDOUT_STREAM, PARTITION_STREAM, substream
 from .trainer import FitConfig, fit, mse
@@ -32,39 +31,46 @@ __all__ = [
     "select_model",
 ]
 
+EVAL_MODES = ("holdout", "training")
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
     """Search settings. candidates is K, the loop count of the search;
-    K + 1 models are evaluated in total."""
+    K + 1 models are evaluated in total. The fit settings are FitConfig's,
+    and fit_config gives each candidate's."""
 
     candidates: int
     count_range: tuple[int, int] | Sequence[tuple[int, int]] = (2, 6)
     alphas: tuple[float, ...] | None = None  # None: random simplex draw per candidate
-    activation: ActivationKind = LINEAR
-    eval_mode: str = "holdout"  # or "training"
+    activation: ActivationKind = FitConfig.activation
+    eval_mode: str = "holdout"  # one of EVAL_MODES
     holdout_fraction: float = 0.2
     seed: int = 0
-    ridge: float | None = None
-    min_rows_policy: str = "fallback_mean"
-    activation_scope: str = "subspace"
+    ridge: float | None = FitConfig.ridge
+    min_rows_policy: str = FitConfig.min_rows_policy
+    activation_scope: str = FitConfig.activation_scope
 
     def __post_init__(self):
         if self.candidates < 1:
             raise ValueError(f"need K >= 1 candidates, got {self.candidates}")
-        if self.eval_mode not in ("holdout", "training"):
+        if self.eval_mode not in EVAL_MODES:
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
         if not 0.0 < self.holdout_fraction <= 0.5:
             raise ValueError(
                 f"holdout fraction must be in (0, 0.5], got {self.holdout_fraction}"
             )
-        if self.ridge is not None and not 0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        checked = self.fit_config((1.0,) if self.alphas is None else self.alphas)
         if self.alphas is not None:
-            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-            _check_alphas(self.alphas)
+            object.__setattr__(self, "alphas", checked.alphas)
+
+    def fit_config(self, alphas) -> FitConfig:
+        """The FitConfig a candidate with these fusion weights is fit with."""
+        return FitConfig(alphas=alphas, activation=self.activation, ridge=self.ridge,
+                         min_rows_policy=self.min_rows_policy,
+                         activation_scope=self.activation_scope)
 
 
 @dataclass(frozen=True)
@@ -162,12 +168,8 @@ def select_model(dataset: Dataset, config: SelectionConfig):
             alphas = tuple(float(a) for a in draw)
         else:
             alphas = config.alphas
-        fit_cfg = FitConfig(
-            alphas=alphas, activation=config.activation, ridge=config.ridge,
-            min_rows_policy=config.min_rows_policy, activation_scope=config.activation_scope,
-        )
         try:
-            model, report = fit(fit_set, part, fit_cfg)
+            model, report = fit(fit_set, part, config.fit_config(alphas))
             entries.append(CandidateResult(
                 candidate=t, partition=part, alphas=alphas,
                 eval_mse=report.train_mse if eval_set is None else mse(model, eval_set),
@@ -186,11 +188,7 @@ def select_model(dataset: Dataset, config: SelectionConfig):
 
     if config.eval_mode == "holdout":
         t0 = time.perf_counter()
-        fit_cfg = FitConfig(
-            alphas=winner.alphas, activation=config.activation, ridge=config.ridge,
-            min_rows_policy=config.min_rows_policy, activation_scope=config.activation_scope,
-        )
-        best_model, _ = fit(dataset, winner.partition, fit_cfg)
+        best_model, _ = fit(dataset, winner.partition, config.fit_config(winner.alphas))
         refit_seconds = time.perf_counter() - t0
     else:
         refit_seconds = 0.0

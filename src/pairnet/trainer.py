@@ -40,6 +40,7 @@ from .datasets import Dataset
 from .ioutil import write_csv_rows
 from .linsolve import solve_spd
 from .model import (
+    SCOPES,
     LocalPairNet,
     PairNetModel,
     _check_alphas,
@@ -70,6 +71,9 @@ __all__ = [
 # this many rows from the cell's start, and the first sweep's feature
 # blocks hold at most this many rows.
 _GRAM_ROWS = 4096
+
+# A cell with too few rows predicts its target mean, or raises.
+MIN_ROWS_POLICIES = ("fallback_mean", "error")
 
 
 class InsufficientDataError(ValueError):
@@ -110,9 +114,9 @@ class FitConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         _check_alphas(self.alphas)
-        if self.min_rows_policy not in ("fallback_mean", "error"):
+        if self.min_rows_policy not in MIN_ROWS_POLICIES:
             raise ValueError(f"unknown min_rows_policy {self.min_rows_policy!r}")
-        if self.activation_scope not in ("subspace", "domain"):
+        if self.activation_scope not in SCOPES:
             raise ValueError(f"unknown activation_scope {self.activation_scope!r}")
         if self.ridge is not None and not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")

@@ -1,8 +1,13 @@
 """End-to-end command-line behavior: exit codes, artifacts, echo lines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import pairnet.cli as cli_mod
+from pairnet.activation import ActivationKind
+from pairnet.baseline_mlp import MLPConfig
 from pairnet.cli import (
     RunReport,
     UsageError,
@@ -13,6 +18,8 @@ from pairnet.cli import (
     main,
 )
 from pairnet.datasets import Dataset, gen_train, read_csv, write_csv
+from pairnet.selection import SelectionConfig
+from pairnet.trainer import FitConfig
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +40,25 @@ def _parsed(capsys):
             key, _, value = line.partition(" = ")
             out[key] = value
     return out
+
+
+def _recorded(monkeypatch, name, position):
+    """Wrap cli.<name> so that each call's argument at ``position`` (the
+    config it runs with) is appended to the returned list."""
+    seen, real = [], getattr(cli_mod, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[position])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, name, wrapper)
+    return seen
+
+
+def _echoed(text):
+    """An echoed config line read back as the object it shows."""
+    names = {cls.__name__: cls for cls in (FitConfig, SelectionConfig, MLPConfig, ActivationKind)}
+    return eval(text, {"__builtins__": {}}, names)
 
 
 class TestParsers:
@@ -250,3 +276,83 @@ class TestBench:
     def test_speed_table_rejects_zero_candidates(self, tmp_path):
         assert main(["bench", "--table", "1", "--functions", "f2",
                      "--candidates", "0", "--out", str(tmp_path)]) == 2
+
+
+class TestConfigEcho:
+    """Each command echoes the repr of the config object it ran, so the
+    echo is complete whatever fields the config types grow."""
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--activation", "sigmoid", "--steepness", "2.5", "--scope", "domain",
+         "--ridge", "0.001", "--min-rows-policy", "error"],
+    ])
+    def test_fit(self, small_csv, tmp_path, capsys, monkeypatch, flags):
+        seen = _recorded(monkeypatch, "fit", 2)
+        assert main(["fit", "--data", small_csv, "--partition", "2,2,2", "--alphas",
+                     "0.2,0.2,0.6000001", "--model-out", str(tmp_path / "m.json"), *flags]) == 0
+        echo = _parsed(capsys)
+        [ran] = seen
+        assert echo["config.fit"] == repr(ran)
+        assert _echoed(echo["config.fit"]) == ran
+        assert (echo["config.data"], echo["config.partition"]) == (small_csv, "2,2,2")
+
+    @pytest.mark.parametrize("flags", [
+        ["--eval-mode", "holdout"],
+        ["--eval-mode", "training", "--count-range", "1,3", "--scope", "domain"],
+    ])
+    def test_select(self, small_csv, tmp_path, capsys, monkeypatch, flags):
+        seen = _recorded(monkeypatch, "select_model", 1)
+        assert main(["select", "--data", small_csv, "--candidates", "1", "--seed", "4",
+                     "--model-out", str(tmp_path / "m.json"), *flags]) == 0
+        echo = _parsed(capsys)
+        [ran] = seen
+        assert echo["config.selection"] == repr(ran)
+        assert _echoed(echo["config.selection"]) == ran
+        assert echo["config.data"] == small_csv
+
+    def test_select_echoes_every_setting_it_was_given(self, small_csv, tmp_path, capsys,
+                                                      monkeypatch):
+        seen = _recorded(monkeypatch, "select_model", 1)
+        assert main(["select", "--data", small_csv, "--candidates", "1", "--ridge", "0.01",
+                     "--holdout-fraction", "0.3", "--activation", "sigmoid", "--steepness", "2",
+                     "--alphas", "0.2,0.2,0.6000001",
+                     "--model-out", str(tmp_path / "m.json")]) == 0
+        echo = _parsed(capsys)["config.selection"]
+        [ran] = seen
+        assert echo == repr(ran) and _echoed(echo) == ran
+        assert (ran.ridge, ran.holdout_fraction) == (0.01, 0.3)
+        assert ran.activation == ActivationKind("sigmoid", 2.0)
+        assert ran.alphas == _parse_alphas("0.2,0.2,0.6000001", 3) != (0.2, 0.2, 0.6000001)
+
+    def test_bench_table2(self, tmp_path, capsys, monkeypatch):
+        seen = _recorded(monkeypatch, "fit", 2)
+        assert main(["bench", "--table", "2", "--functions", "f2", "--out", str(tmp_path)]) == 0
+        echo = _parsed(capsys)
+        assert len(seen) == 8
+        assert {repr(config) for config in seen} == {echo["config.fit"]}
+        assert _echoed(echo["config.fit"]) == seen[0]
+        assert (echo["config.table"], echo["config.functions"]) == ("2", "f2")
+
+    def test_bench_table1(self, tmp_path, capsys, monkeypatch):
+        """Each restart runs the echoed MLPConfig with its own seed, which
+        the echo leaves out: it is drawn from --seed, which is echoed."""
+        seen = _recorded(monkeypatch, "mlp_train", 1)
+        assert main(["bench", "--table", "1", "--functions", "f2", "--seed", "2",
+                     "--candidates", "1", "--epochs", "2", "--mlp-seeds", "2",
+                     "--mlp-width", "4", "--mlp-depth", "3", "--mlp-lr", "0.002",
+                     "--mlp-momentum", "0.5", "--mlp-batch", "32", "--out", str(tmp_path)]) == 0
+        echo = _parsed(capsys)
+        assert len(seen) >= 2 and len({config.seed for config in seen}) == len(seen)
+        for ran in seen:
+            assert echo["config.mlp"] == repr(ran)
+            assert _echoed(echo["config.mlp"]) == dataclasses.replace(ran, seed=MLPConfig.seed)
+        assert "seed" not in echo["config.mlp"]
+        assert [echo[f"config.{key}"] for key in ("seed", "candidates", "mlp_seeds")] == \
+            ["2", "1", "2"]
+
+    def test_bench_table1_bad_mlp_setting_is_usage_error(self, tmp_path, capsys):
+        assert main(["bench", "--table", "1", "--functions", "f2", "--mlp-width", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "hidden widths must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()

@@ -338,6 +338,13 @@ class TestPairNetModel:
             want = local_forward(model.locals[cells[i]], X[i], cell_box(part, cells[i]))
             assert out[i] == want, i
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0,), (4, 1), (2, 2, 2)])
+    def test_wrong_shape_is_refused_even_when_empty(self, shape):
+        """The shape is checked before any block is routed, so a batch
+        with no rows to route is refused too."""
+        with pytest.raises(ValueError, match=r"expected \(N, 2\) points"):
+            forward(self._model(), np.zeros(shape))
+
     def test_non_finite_row_is_named_across_blocks(self):
         model = self._model()
         X = np.tile([1.0, 0.0], (3 * _FORWARD_ROWS, 1))

@@ -99,6 +99,20 @@ class TestPartitionStructure:
         with pytest.raises(ValueError, match="dimension 1: breakpoints must be finite"):
             Partition(((0.0, 1.0), edges))
 
+    @pytest.mark.parametrize("edges", [(-1e308, 1e308), (-1e308, 0.0, 1e308),
+                                       (-1.7976931348623157e308, 1e300)])
+    def test_rejects_a_span_whose_width_overflows(self, edges):
+        """Interval's rule on each dimension's span: its width bounds every
+        gap, so no activation divides by an infinite width."""
+        want = (f"dimension 1: breakpoint span [{edges[0]!r}, {edges[-1]!r}] "
+                "must have a finite width")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Partition(((0.0, 1.0), edges))
+
+    def test_wide_finite_span_constructs(self):
+        part = Partition(((-1e300, 1e300),))
+        assert part.domain[0].width == 2e300
+
 
 class TestFlatIndexing:
     """Dimension 0 is the most significant mixed-radix digit."""

@@ -375,6 +375,14 @@ class TestStrictLoading:
         with pytest.raises(ModelFormatError, match="partition_edges"):
             load_model(saved)
 
+    @pytest.mark.parametrize("span", [(-1e308, 1e308), (-1e308, 0.0, 1e308)])
+    def test_overflowing_edge_span_rejected(self, saved, span):
+        doc = _doc(saved)
+        doc["partition_edges"][1] = list(span)   # refused before any local is read
+        _dump(saved, doc)
+        with pytest.raises(ModelFormatError, match=r"partition_edges: dimension 1: breakpoint span"):
+            load_model(saved)
+
     @pytest.mark.parametrize("keys,value,field", [
         (("locals", 1, "c", 3), np.nan, "locals[1].c[3]"),
         (("locals", 0, "gamma", 0), np.inf, "locals[0].gamma[0]"),

@@ -1,11 +1,13 @@
 """Random-search selection: determinism, argmin contract, holdout refit."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import pairnet.selection as selection_mod
+from pairnet.activation import ActivationKind
 from pairnet.datasets import Dataset, gen_train
 from pairnet.partition import Interval
 from pairnet.persistence import save_model
@@ -46,6 +48,34 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SelectionConfig(candidates=1, seed=-1)
+
+    @pytest.mark.parametrize("setting", [{"min_rows_policy": "bogus"},
+                                         {"activation_scope": "global"}])
+    def test_fit_setting_refused_at_construction(self, setting):
+        """A bad fit setting is refused before any partition is drawn,
+        with FitConfig's own message."""
+        with pytest.raises(ValueError) as want:
+            FitConfig(alphas=(1.0,), **setting)
+        with pytest.raises(ValueError) as got:
+            SelectionConfig(candidates=1, **setting)
+        assert str(got.value) == str(want.value)
+
+    def test_fit_config_carries_every_fit_setting(self):
+        """Every FitConfig field but the alphas comes from the selection
+        config, and its defaults are FitConfig's."""
+        config = SelectionConfig(candidates=1, activation=ActivationKind("sigmoid", 2.0),
+                                 ridge=0.01, min_rows_policy="error", activation_scope="domain")
+        fit_config = config.fit_config((0.2, 0.3, 0.5))
+        assert fit_config.alphas == (0.2, 0.3, 0.5)
+        for f in dataclasses.fields(FitConfig):
+            if f.name != "alphas":
+                assert getattr(fit_config, f.name) == getattr(config, f.name), f.name
+                assert getattr(SelectionConfig, f.name) == f.default, f.name
+
+    def test_fixed_alphas_are_coerced_to_floats(self):
+        config = SelectionConfig(candidates=1, alphas=np.array([0.25, 0.75]))
+        assert config.alphas == (0.25, 0.75)
+        assert all(type(a) is float for a in config.alphas)
 
 
 class TestSimplexSampling:
@@ -112,6 +142,25 @@ class TestSelectModel:
     def test_random_alphas_vary_per_candidate(self, small_f2):
         _, board = select_model(small_f2, SelectionConfig(candidates=3, seed=6))
         assert len({e.alphas for e in board.entries}) == len(board.entries)
+
+    @pytest.mark.parametrize("eval_mode", ["holdout", "training"])
+    def test_every_fit_uses_the_configs_fit_settings(self, small_f2, monkeypatch, eval_mode):
+        seen = []
+
+        def recording_fit(dataset, partition, config):
+            seen.append(config)
+            return fit(dataset, partition, config)
+
+        monkeypatch.setattr(selection_mod, "fit", recording_fit)
+        config = SelectionConfig(candidates=2, seed=8, eval_mode=eval_mode, ridge=0.001,
+                                 activation=ActivationKind("sigmoid", 3.0),
+                                 activation_scope="domain")
+        _, board = select_model(small_f2, config)
+        by_candidate = sorted(board.entries, key=lambda e: e.candidate)
+        want = [config.fit_config(e.alphas) for e in by_candidate]
+        if eval_mode == "holdout":
+            want.append(config.fit_config(board.best.alphas))   # the refit
+        assert seen == want
 
     def test_holdout_winner_is_refit_on_full_data(self, small_f2):
         cfg = SelectionConfig(candidates=2, seed=7)
