@@ -25,8 +25,9 @@ class ActivationKind:
     """Activation family tag plus the sigmoid steepness.
 
     Steepness is in units of inverse interval half-widths: the logistic
-    argument runs over [-steepness, steepness] across the interval. It is
-    ignored by the linear kind.
+    argument runs over [-steepness, steepness] across the interval. The
+    linear kind ignores it and keeps the default, so linear kinds compare
+    equal whatever steepness they were given.
     """
 
     tag: str = "linear"
@@ -37,6 +38,8 @@ class ActivationKind:
             raise ValueError(f"unknown activation kind {self.tag!r}; expected one of {_KINDS}")
         if not 0 < self.steepness < np.inf:
             raise ValueError(f"steepness must be positive and finite, got {self.steepness!r}")
+        if self.tag == "linear":
+            object.__setattr__(self, "steepness", ActivationKind.steepness)
 
 
 LINEAR = ActivationKind("linear")

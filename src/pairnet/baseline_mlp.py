@@ -11,7 +11,7 @@ plain numpy and deterministic given the seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class MLPConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9  # 0.0 gives plain SGD
     batch_size: int = 64
-    seed: int = field(default=0, repr=False)  # per run: table 1 draws one per restart
+    seed: int = 0
 
     def __post_init__(self):
         if len(self.hidden) < 1:

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -254,10 +254,9 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
-                config=_TABLE2_CONFIG) -> list[dict]:
+def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS) -> list[dict]:
     """The partition-sweep benchmark: one row per partition, train and
-    test MSE columns per function, every fit with ``config``."""
+    test MSE columns per function, every fit with _TABLE2_CONFIG."""
     functions = tuple(functions)
     train = {tag: gen_train(tag) for tag in functions}
     test = {tag: gen_test(tag) for tag in functions}
@@ -266,7 +265,7 @@ def table2_rows(functions=("f1", "f2", "f3"), partitions=TABLE2_PARTITIONS,
         row = {"partition": "-".join(map(str, counts)), "subspaces": math.prod(counts)}
         for tag in functions:
             part = uniform_partition(train[tag].domain, counts)
-            model, report = fit(train[tag], part, config)
+            model, report = fit(train[tag], part, _TABLE2_CONFIG)
             row[f"{tag}_train_mse"] = report.train_mse
             row[f"{tag}_test_mse"] = mse(model, test[tag])
         rows.append(row)
@@ -345,8 +344,10 @@ def _cmd_bench(args) -> int:
                            mlp_seeds=args.mlp_seeds, seed=args.seed, mlp=mlp)
         fieldnames = ["method", "function", "t_train_seconds", "mse_train", "mse_test"]
         path = os.path.join(args.out, "table1.csv")
+        shown = (f"{f.name}={getattr(mlp, f.name)!r}" for f in fields(mlp) if f.name != "seed")
         config = {"table": 1, "functions": ",".join(functions), "seed": args.seed,
-                  "candidates": args.candidates, "mlp_seeds": args.mlp_seeds, "mlp": mlp}
+                  "candidates": args.candidates, "mlp_seeds": args.mlp_seeds,
+                  "mlp": f"MLPConfig({', '.join(shown)})"}   # restarts draw seeds from seed
     _write_rows(path, fieldnames, rows)
     for row in rows:
         print("  ".join(f"{key}={row[key]!r}" if isinstance(row[key], float)

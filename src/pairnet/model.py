@@ -433,14 +433,10 @@ def forward(model: PairNetModel, x):
     _predict), so on the training rows this repeats fit bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
-    X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x, finite=False)
+    X = _checked_points(model.partition, x[None, :] if x.ndim == 1 else x)
     out = np.empty(len(X))
     for start in range(0, len(X), _FORWARD_ROWS):
         rows = slice(start, start + _FORWARD_ROWS)
-        try:
-            cells = locate_many(model.partition, X[rows])
-        except ValueError:
-            _checked_points(model.partition, X)   # names the row by its index in x
-            raise
-        out[rows] = _predict(model.activation, model._table, X[rows], cells)
+        out[rows] = _predict(model.activation, model._table, X[rows],
+                             locate_many(model.partition, X[rows]))
     return float(out[0]) if x.ndim == 1 else out

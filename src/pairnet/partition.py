@@ -205,14 +205,13 @@ def locate(partition: Partition, point: Sequence[float]) -> int:
     return int(locate_many(partition, np.asarray(point, dtype=np.float64)[None, :])[0])
 
 
-def _checked_points(partition: Partition, points, finite: bool = True) -> np.ndarray:
+def _checked_points(partition: Partition, points) -> np.ndarray:
     """points as a float64 (N, n) array, or the error locate_many raises:
-    a wrong shape, or (if finite) the first row with a NaN or infinite
-    coordinate."""
+    a wrong shape, or the first row with a NaN or infinite coordinate."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != partition.ndim:
         raise ValueError(f"expected (N, {partition.ndim}) points, got shape {points.shape}")
-    if finite and not np.isfinite(points).all():
+    if not np.isfinite(points).all():
         row = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ValueError(f"row {row} has a non-finite coordinate: {points[row].tolist()}")
     return points

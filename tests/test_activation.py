@@ -35,6 +35,14 @@ class TestKinds:
     def test_default_is_linear(self):
         assert LINEAR.tag == "linear"
 
+    def test_linear_keeps_the_default_steepness(self):
+        """Linear ignores steepness, so a given one is dropped and equal
+        kinds compare equal; a bad one is still refused."""
+        assert ActivationKind("linear", 9.0) == LINEAR
+        assert ActivationKind("linear", 9.0).steepness == ActivationKind.steepness
+        with pytest.raises(ValueError, match="steepness"):
+            ActivationKind("linear", -1.0)
+
 
 def g(x, kind=LINEAR, iv=IV):
     return activate(x, iv.lo, iv.hi, kind)

@@ -97,6 +97,15 @@ class TestRoundTrip:
         entry = _doc(path)["locals"][1]
         assert "c" not in entry and "gamma" not in entry
 
+    def test_linear_given_a_steepness_survives(self, make_local, tmp_path):
+        part = uniform_partition((Interval(0, 2), Interval(1, 5)), (2, 1))
+        locs = tuple(make_local(n=2, seed=j) for j in range(part.size))
+        model = PairNetModel(partition=part, locals=locs,
+                             activation=ActivationKind("linear", 9.0))
+        path = tmp_path / "lin.json"
+        save_model(model, path)
+        assert load_model(path) == model
+
     def test_sigmoid_and_domain_scope_survive(self, make_local, tmp_path):
         part = uniform_partition((Interval(0, 2), Interval(1, 5)), (2, 1))
         kind = ActivationKind("sigmoid", 7.25)
